@@ -6,6 +6,13 @@
  * average power (via the RAPL readout), and optional runtime traces
  * (instance counts, per-instance frequency, windowed latency/power)
  * for the Fig. 11/13/14 reproductions.
+ *
+ * There is one stack builder, ExperimentRunner::run
+ * (exp/sharded_runner.cc): it builds one such system per node group on
+ * the ShardedEngine. A single-node scenario is a one-group run, which
+ * hands back the group's own values and writes plain (un-enveloped)
+ * artifacts; nodeGroups > 1 merges the groups into one RunResult and
+ * writes powerchief-sharded-v1 envelopes.
  */
 
 #ifndef PC_EXP_RUNNER_H
@@ -112,7 +119,7 @@ struct RunCritPathSummary
 
 /**
  * Summarize a run's audit log / critical-path collector into the
- * RunResult blocks. Shared by the single-node and sharded run paths.
+ * RunResult blocks.
  */
 RunAuditSummary summarizeAudit(const AuditLog &audit);
 RunCritPathSummary summarizeCritPath(const CritPathCollector &cp);
@@ -193,7 +200,8 @@ class ExperimentRunner
      * Observe every control interval of subsequent run() calls: the
      * probe fires after the policy (and withdraw monitor) acted, with
      * the interval's full ControlContext. A pure observer hook for the
-     * cross-policy invariant tests; pass nullptr to detach.
+     * cross-policy invariant tests; pass nullptr to detach. Single-node
+     * scenarios only: a run with nodeGroups > 1 and a probe is fatal.
      */
     void setIntervalProbe(
         std::function<void(const ControlContext &)> probe)
@@ -215,11 +223,11 @@ class ExperimentRunner
     }
 
     /**
-     * Worker threads for sharded runs (scenarios with nodeGroups > 1;
-     * exp/sharded_runner.cc). Clamped to [1, nodeGroups] at run time;
-     * <= 0 resolves to one per hardware thread. A pure execution knob:
-     * every result field and artifact byte is identical at any value.
-     * Ignored by single-node scenarios.
+     * Worker threads for sharded runs (scenarios with nodeGroups > 1).
+     * Clamped to [1, nodeGroups] at run time; <= 0 resolves to one per
+     * hardware thread. A pure execution knob: every result field and
+     * artifact byte is identical at any value. Ignored by single-node
+     * scenarios.
      */
     void setShards(int shards) { shards_ = shards; }
 
@@ -235,14 +243,6 @@ class ExperimentRunner
                   const TelemetryConfig *telemetry = nullptr) const;
 
   private:
-    /**
-     * The nodeGroups > 1 path (exp/sharded_runner.cc): one replica
-     * stack per node group on the conservative time-window engine,
-     * merged deterministically into one RunResult.
-     */
-    RunResult runSharded(const Scenario &scenario,
-                         const TelemetryConfig *telemetry) const;
-
     bool recordTraces_;
     SimTime sampleInterval_;
     bool attribution_;

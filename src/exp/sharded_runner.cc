@@ -1,15 +1,18 @@
 /**
  * @file
- * The nodeGroups > 1 experiment path: a fleet of independent node
- * replicas on the conservative time-window engine.
+ * ExperimentRunner::run — the one stack builder. Every run, single-node
+ * or fleet, is a set of node groups on the ShardedEngine; a single-node
+ * scenario is simply a one-group run.
  *
- * Each node group owns a full copy of the single-node stack — its own
- * Simulator (owned by the ShardedEngine), chip, bus, application,
- * budget, command center, fault injector, RAPL reader, load generator
- * and telemetry bundle. The only cross-group interaction is the
- * front-end spray: a scenario-configured fraction of each group's
- * arrivals is posted to a remote group with interNodeLatency delay,
- * which is therefore the engine's conservative lookahead.
+ * Each node group owns a full stack — its own Simulator (owned by the
+ * ShardedEngine), chip, bus, application, budget, command center, fault
+ * injector, RAPL reader, load generator and telemetry bundle. With
+ * nodeGroups > 1 the only cross-group interaction is the front-end
+ * spray: a scenario-configured fraction of each group's arrivals is
+ * posted to a remote group with interNodeLatency delay, which is
+ * therefore the engine's conservative lookahead. A one-group run has
+ * nothing to post, so the engine runs its single shard straight to the
+ * deadline, and the merge hands back the group's own values.
  *
  * Determinism: the logical partition (nodeGroups) is part of the
  * scenario; the worker count (--shards / setShards) only picks which
@@ -23,7 +26,7 @@
  * dependent when groups boost instances concurrently — that is exactly
  * why no artifact may embed them. TraceSink and AuditLog both remap to
  * sink-local ids, and instance *names* come from a per-stage launch
- * counter; the merged result keys per-instance series as
+ * counter; a fleet result keys per-instance series as
  * "n<group>/<name>".
  */
 
@@ -62,14 +65,6 @@ endsWith(const std::string &s, const std::string &suffix)
         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/** Per-query attribution sample, buffered for the ordered replay. */
-struct AttribSample
-{
-    SimTime t;
-    double sec = 0.0;
-    std::vector<StageSpan> spans;
-};
-
 /** Node → arbiter demand snapshot, riding node 0's bus so the fault
  *  fabric (drops, duplicates, reordering) applies to cluster traffic
  *  like any other endpoint. */
@@ -104,8 +99,7 @@ struct ShardStack
     std::optional<LoadGenerator> gen;
     std::optional<Rng> sprayRng;
 
-    // Completion statistics, ignoring the warmup prefix — the same
-    // accumulators the single-node path keeps, one set per group.
+    // Completion statistics, ignoring the warmup prefix.
     ExactPercentile latency;
     StreamingStats latencyStats;
     std::vector<StreamingStats> queuingByStage;
@@ -113,11 +107,16 @@ struct ShardStack
     StreamingStats power;
     Joules energyBefore;
 
-    // Buffered per-completion records for the globally-ordered replay
-    // (latency series, SLO, attribution). Only filled when the
-    // corresponding collection is on.
+    // Order-sensitive consumers. A one-group run feeds them live (the
+    // SLO gauges then track the run in the sampled telemetry); a fleet
+    // run buffers its completions for the globally-ordered replay.
+    std::optional<SloTracker> slo;
+    Gauge *sloFastGauge = nullptr;
+    Gauge *sloSlowGauge = nullptr;
+    std::optional<TailAttributionCollector> attribution;
     TimeSeries completionLat{"latency"};
-    std::vector<AttribSample> attribSamples;
+    // Buffered attribution spans, numStages per completionLat point.
+    std::vector<StageSpan> attribSpans;
 
     TimeSeries powerSeries{"power"};
     std::vector<TimeSeries> stageInstanceCounts;
@@ -203,31 +202,40 @@ writeEnvelope(const std::string &path, const char *artifact,
 } // namespace
 
 RunResult
-ExperimentRunner::runSharded(const Scenario &sc,
-                             const TelemetryConfig *telemetry) const
+ExperimentRunner::run(const Scenario &sc,
+                      const TelemetryConfig *telemetry) const
 {
-    const int groups = sc.nodeGroups;
-    // run() already validated the topology; re-check with the shared
-    // helper because this path depends on the invariants (the positive
-    // interNodeLatency IS the engine's conservative lookahead).
+    // Topology knobs are validated before any system is built, with
+    // the offending field named — same fatal style the CLI and config
+    // loader use at parse time, so a bad scenario dies identically no
+    // matter which door it came in through. The positive
+    // interNodeLatency IS the engine's conservative lookahead.
     if (const std::string err = scenarioTopologyError(sc); !err.empty())
         fatal("scenario '%s': %s", sc.name.c_str(), err.c_str());
-    if (intervalProbe_)
+    if (sc.initialCounts.empty())
+        fatal("scenario '%s' has no initial layout", sc.name.c_str());
+    const int groups = sc.nodeGroups;
+    const bool fleet = groups > 1;
+    if (fleet && intervalProbe_)
         fatal("scenario '%s': the interval probe is not supported on "
               "sharded runs (one probe cannot observe %d concurrent "
               "controllers deterministically)", sc.name.c_str(), groups);
 
+    // Every group owns its telemetry so concurrent runs never share
+    // mutable observability state. Audit collection rides on the same
+    // bundle: it flips auditCollect on a copy of the caller's config
+    // (or a fresh one) without touching any output path.
     TelemetryConfig effective = telemetry ? *telemetry
                                           : TelemetryConfig{};
     if (collectAudit_)
         effective.auditCollect = true;
     if (collectCritPath_)
         effective.critpathCollect = true;
-    if (effective.timeseriesEnabled() &&
+    if (fleet && effective.timeseriesEnabled() &&
         effective.metricsFormat == "openmetrics")
         fatal("sharded runs write timeseries envelopes in JSON only; "
               "--metrics-format openmetrics is not supported");
-    if (effective.metricsEnabled() &&
+    if (fleet && effective.metricsEnabled() &&
         endsWith(effective.metricsOut, ".csv"))
         fatal("sharded runs write metrics envelopes in JSON only; "
               "use a .json --metrics-out path");
@@ -250,6 +258,21 @@ ExperimentRunner::runSharded(const Scenario &sc,
         ? Watts(clusterCapWatts / static_cast<double>(groups))
         : sc.powerBudget;
 
+    // SLO auto target: the scenario's QoS target when it has one, else
+    // 3x the summed per-stage mean service times (a "healthy pipeline"
+    // envelope independent of the realized load).
+    double sloTarget = slo_.targetSec;
+    if (slo_.enabled && sloTarget <= 0.0) {
+        if (sc.qosTargetSec > 0.0) {
+            sloTarget = sc.qosTargetSec;
+        } else {
+            double serviceSum = 0.0;
+            for (const auto &stage : sc.workload.stages())
+                serviceSum += stage.meanServiceSec;
+            sloTarget = 3.0 * serviceSum;
+        }
+    }
+
     RunResult result;
     result.scenario = sc.name;
 
@@ -260,17 +283,28 @@ ExperimentRunner::runSharded(const Scenario &sc,
     const int level = sc.initialLevel == -1 ? ladder.midLevel()
         : sc.initialLevel == -2              ? ladder.maxLevel()
                                              : sc.initialLevel;
-    if (sc.initialCounts.empty())
-        fatal("scenario '%s' has no initial layout", sc.name.c_str());
 
-    // One offline profile serves every group: same workload, same
-    // seed, read-only during the run.
+    // Offline profiling step (deterministic per seed). One profile
+    // serves every group: same workload, same seed, read-only during
+    // the run.
     const OfflineProfiler profiler;
     const SpeedupBook speedups =
         profiler.profileWorkload(sc.workload, model, sc.seed ^ 0x5eedll);
 
-    const bool wantCompletionSeries = recordTraces_ || slo_.enabled;
+    const bool wantCompletionSeries =
+        recordTraces_ || (fleet && (slo_.enabled || attribution_));
     const int numStages = sc.workload.numStages();
+
+    // The control loop and fault injector start at a fixed point in the
+    // setup scheduling order: setup order decides heap tie-breaks at
+    // equal sim times. A one-group run starts them before its samplers
+    // are scheduled, a fleet after every group and the cluster
+    // reporters are — each order is pinned by its own goldens.
+    auto startControl = [](ShardStack &st) {
+        st.center->start();
+        if (st.injector)
+            st.injector->arm();
+    };
 
     // Build the group stacks sequentially in group order (instance-id
     // allocation during construction stays deterministic).
@@ -326,15 +360,27 @@ ExperimentRunner::runSharded(const Scenario &sc,
             sc.metricFactory ? sc.metricFactory() : nullptr,
             sc.recycleFactory ? sc.recycleFactory() : nullptr);
         st.center->setTelemetry(tel);
+        if (intervalProbe_)
+            st.center->setIntervalCallback(intervalProbe_);
 
+        // A one-group run keeps the scenario seed; fleet groups derive
+        // theirs from (seed, group index).
         const auto gu = static_cast<std::uint64_t>(g);
-        const std::uint64_t shardSeed =
-            sc.seed ^ (0x9e3779b97f4a7c15ull * (gu + 1));
+        const std::uint64_t shardSeed = fleet
+            ? sc.seed ^ (0x9e3779b97f4a7c15ull * (gu + 1))
+            : sc.seed;
+        // Fault-injection layer (chaos runs only). Armed before any
+        // load arrives; an inactive plan constructs nothing at all.
         if (sc.faults.active) {
             st.injector.emplace(st.sim, &*st.bus, &*st.app, &*st.chip,
                                 &*st.budget, sc.faults, shardSeed, tel);
         }
+        if (!fleet)
+            startControl(st);
 
+        // End-to-end latency histograms mirror the printed RunResult
+        // numbers: same samples, same warmup filter, so the dumped p99
+        // matches p99LatencySec exactly.
         if (tel) {
             MetricsRegistry &metrics = tel->metrics();
             st.e2eHist = &metrics.histogram("latency.e2e_sec");
@@ -347,6 +393,15 @@ ExperimentRunner::runSharded(const Scenario &sc,
                     &metrics.histogram(prefix + "serve_sec"));
             }
         }
+        if (!fleet && slo_.enabled) {
+            st.slo.emplace(slo_, sloTarget);
+            if (tel) {
+                st.sloFastGauge = &tel->metrics().gauge("slo.fast_burn");
+                st.sloSlowGauge = &tel->metrics().gauge("slo.slow_burn");
+            }
+        }
+        if (!fleet && attribution_)
+            st.attribution.emplace(numStages);
 
         st.queuingByStage.assign(
             static_cast<std::size_t>(numStages), StreamingStats{});
@@ -357,10 +412,11 @@ ExperimentRunner::runSharded(const Scenario &sc,
                                    wantCompletionSeries,
                                    numStages](const QueryPtr &q) {
             ShardStack &stack = *stp;
+            const SimTime now = stack.sim->now();
             if (stack.tel) {
                 stack.tel->trace().recordQueryHops(*q);
                 if (auto *critpath = stack.tel->critpath())
-                    critpath->observeQuery(stack.sim->now(), *q,
+                    critpath->observeQuery(now, *q,
                                            q->arrival() >= sc.warmup);
             }
             if (q->arrival() < sc.warmup)
@@ -368,12 +424,25 @@ ExperimentRunner::runSharded(const Scenario &sc,
             const double sec = q->endToEnd().toSec();
             stack.latency.add(sec);
             stack.latencyStats.add(sec);
+            if (stack.slo) {
+                stack.slo->observe(now, sec);
+                if (stack.sloFastGauge) {
+                    stack.sloFastGauge->set(stack.slo->fastBurn());
+                    stack.sloSlowGauge->set(stack.slo->slowBurn());
+                }
+            }
             if (stack.e2eHist)
                 stack.e2eHist->add(sec);
+            // Reused across completions so the per-query stat path
+            // does not allocate; assign() keeps the capacity.
             if (attribution_)
                 stack.spans.assign(static_cast<std::size_t>(numStages),
                                    StageSpan{});
             for (const auto &hop : q->hops()) {
+                // Wasted hops (aborted service; faults layer) carry no
+                // latency contribution — the query was re-dispatched
+                // and the replacement hop holds the real queue/serve
+                // split.
                 if (hop.wasted)
                     continue;
                 const auto s = static_cast<std::size_t>(hop.stageIndex);
@@ -388,17 +457,17 @@ ExperimentRunner::runSharded(const Scenario &sc,
                     stack.spans[s].servingSec += hop.serving().toSec();
                 }
             }
+            if (stack.attribution)
+                stack.attribution->addQuery(sec, stack.spans);
+            else if (attribution_)
+                stack.attribSpans.insert(stack.attribSpans.end(),
+                                         stack.spans.begin(),
+                                         stack.spans.end());
             if (wantCompletionSeries)
-                stack.completionLat.append(stack.sim->now(), sec);
-            if (attribution_) {
-                AttribSample sample;
-                sample.t = stack.sim->now();
-                sample.sec = sec;
-                sample.spans = stack.spans;
-                stack.attribSamples.push_back(std::move(sample));
-            }
+                stack.completionLat.append(now, sec);
         });
 
+        // Power measurement through the RAPL code path.
         st.rapl.emplace(&*st.chip);
         if (st.injector)
             st.rapl->setFaultHook(st.injector->raplFaultHook());
@@ -434,6 +503,9 @@ ExperimentRunner::runSharded(const Scenario &sc,
                 }
             });
 
+        // Periodic registry snapshot feeding the dumped TimeSeries. A
+        // pure observer event: it reads state only, so the simulation
+        // unfolds identically with or without it.
         if (tel && tel->config().metricsEnabled()) {
             const SimTime interval = tel->config().metricsInterval;
             st.sim->schedulePeriodic(interval, interval,
@@ -451,16 +523,16 @@ ExperimentRunner::runSharded(const Scenario &sc,
         // Per-group load skew (empty = uniform): the demand asymmetry
         // a demand-driven cluster split exploits under a tight cap.
         st.gen.emplace(st.sim, &*st.app, &sc.workload,
-                       sc.groupLoadScale.empty()
-                           ? sc.load
-                           : sc.load.scaled(
+                       fleet && !sc.groupLoadScale.empty()
+                           ? sc.load.scaled(
                                  sc.groupLoadScale
-                                     [static_cast<std::size_t>(g)]),
+                                     [static_cast<std::size_t>(g)])
+                           : sc.load,
                        shardSeed, ladder.freqAt(0).value());
         // Group g owns query ids (g<<40, (g+1)<<40] — globally unique
         // without any cross-group coordination.
         st.gen->setQueryIdBase(static_cast<std::int64_t>(g) << 40);
-        if (sc.remoteFraction > 0.0) {
+        if (fleet && sc.remoteFraction > 0.0) {
             st.sprayRng.emplace(shardSeed ^ 0xf00dfeedcafe1234ull);
             st.gen->setSubmitHook([&engine, &sc, g, groups, &stacks,
                                    stp = &st](QueryPtr q) {
@@ -574,20 +646,24 @@ ExperimentRunner::runSharded(const Scenario &sc,
         }
     }
 
-    // Flush-on-fatal: a conservation/ledger fatal mid-run still writes
-    // the merged artifacts collected so far (see the single-node path).
-    auto writeMergedOutputs = [&stacks, &effective, &sc,
-                               &result, &arbiter]() {
+    // Artifacts: a one-group run writes the plain single-node files
+    // (every format its Telemetry supports); a fleet writes one
+    // envelope per artifact holding the per-group documents.
+    auto writeOutputs = [&stacks, &effective, &sc, &result, &arbiter,
+                         fleet]() {
         if (!effective.anyEnabled())
             return;
         for (auto &st : stacks) {
-            if (!st->tel)
-                continue;
             MetricsRegistry &metrics = st->tel->metrics();
             metrics.gauge("queries.submitted")
                 .set(static_cast<double>(st->app->submitted()));
             metrics.gauge("queries.completed")
                 .set(static_cast<double>(st->app->completed()));
+        }
+        if (!fleet) {
+            stacks[0]->tel->writeOutputs(
+                sc.name, result.slo.collected ? &result.slo : nullptr);
+            return;
         }
         if (effective.tracingEnabled()) {
             std::ofstream out(effective.traceOut,
@@ -657,14 +733,17 @@ ExperimentRunner::runSharded(const Scenario &sc,
                           docs);
         }
     };
+    // Flush-on-fatal: if the run aborts on a conservation or ledger
+    // fatal() below, the telemetry collected so far is written out
+    // instead of vanishing with the process — partial traces are what
+    // post-mortems need most. Unregistered on normal return.
     std::optional<FatalFlushGuard> flushGuard;
     if (effective.anyEnabled())
-        flushGuard.emplace(writeMergedOutputs);
+        flushGuard.emplace(writeOutputs);
 
     for (auto &st : stacks) {
-        st->center->start();
-        if (st->injector)
-            st->injector->arm();
+        if (fleet)
+            startControl(*st);
         st->energyBefore = st->chip->totalEnergy();
         st->gen->start(sc.duration);
     }
@@ -676,9 +755,12 @@ ExperimentRunner::runSharded(const Scenario &sc,
     for (auto &st : stacks)
         st->center->stop();
 
-    // Chaos-run invariants, per group (see the single-node path). The
-    // spray keeps these intact: every query is submitted to exactly one
-    // app, and sprays still in a mailbox at the deadline were never
+    // Chaos-run invariants, per group: no query may be lost or minted
+    // by a fault (conservation), and the budget ledger must agree with
+    // every live instance's actual level ("ledger == Σ model"), even
+    // after dropped PERF_CTL writes and crash/recovery churn. The spray
+    // keeps these intact: every query is submitted to exactly one app,
+    // and sprays still in a mailbox at the deadline were never
     // submitted anywhere — identically at any worker count.
     for (std::size_t g = 0; g < stacks.size(); ++g) {
         ShardStack &st = *stacks[g];
@@ -735,24 +817,28 @@ ExperimentRunner::runSharded(const Scenario &sc,
     }
 
     // ---- Deterministic merge, groups in fixed index order. ----
-
-    ExactPercentile latency;
-    StreamingStats latencyStats;
-    std::vector<StreamingStats> queuingByStage(
-        static_cast<std::size_t>(numStages));
-    std::vector<StreamingStats> servingByStage(
-        static_cast<std::size_t>(numStages));
+    // The accumulators start as group 0's own (moved, so a one-group
+    // run hands back exactly its values) and fold in the rest.
+    ShardStack &first = *stacks[0];
+    ExactPercentile latency = std::move(first.latency);
+    StreamingStats latencyStats = first.latencyStats;
+    std::vector<StreamingStats> queuingByStage =
+        std::move(first.queuingByStage);
+    std::vector<StreamingStats> servingByStage =
+        std::move(first.servingByStage);
     double avgPowerSum = 0.0;
     for (std::size_t g = 0; g < stacks.size(); ++g) {
         ShardStack &st = *stacks[g];
         result.submitted += st.app->submitted();
         result.completed += st.app->completed();
-        latency.merge(st.latency);
-        latencyStats.merge(st.latencyStats);
-        for (int s = 0; s < numStages; ++s) {
-            const auto su = static_cast<std::size_t>(s);
-            queuingByStage[su].merge(st.queuingByStage[su]);
-            servingByStage[su].merge(st.servingByStage[su]);
+        if (g > 0) {
+            latency.merge(st.latency);
+            latencyStats.merge(st.latencyStats);
+            for (int s = 0; s < numStages; ++s) {
+                const auto su = static_cast<std::size_t>(s);
+                queuingByStage[su].merge(st.queuingByStage[su]);
+                servingByStage[su].merge(st.servingByStage[su]);
+            }
         }
         // Fleet power: nodes sample on the same grid, so the sum of
         // per-node window means is the mean fleet draw.
@@ -773,55 +859,63 @@ ExperimentRunner::runSharded(const Scenario &sc,
     result.maxLatencySec = latencyStats.max();
     result.avgPowerWatts = avgPowerSum;
 
+    if (!fleet) {
+        // One group: its live consumers and series are the result.
+        if (first.slo) {
+            first.slo->finish(sc.duration);
+            result.slo = first.slo->report();
+        }
+        if (first.attribution)
+            result.tailAttribution = first.attribution->report();
+        if (recordTraces_) {
+            result.latencySeries = std::move(first.completionLat);
+            result.powerSeries = std::move(first.powerSeries);
+            result.stageInstanceCounts =
+                std::move(first.stageInstanceCounts);
+            result.instanceFrequencyGHz =
+                std::move(first.instanceFrequencyGHz);
+        }
+        if (collectAudit_)
+            result.audit = summarizeAudit(first.tel->audit());
+        if (collectCritPath_ && first.tel->critpath())
+            result.critpath = summarizeCritPath(*first.tel->critpath());
+        writeOutputs();
+        return result;
+    }
+
     // Order-sensitive consumers replay the merged completion stream.
     std::optional<SloTracker> sloTracker;
-    if (slo_.enabled) {
-        double target = slo_.targetSec;
-        if (target <= 0.0) {
-            if (sc.qosTargetSec > 0.0) {
-                target = sc.qosTargetSec;
-            } else {
-                double serviceSum = 0.0;
-                for (const auto &stage : sc.workload.stages())
-                    serviceSum += stage.meanServiceSec;
-                target = 3.0 * serviceSum;
-            }
-        }
-        sloTracker.emplace(slo_, target);
-    }
+    if (slo_.enabled)
+        sloTracker.emplace(slo_, sloTarget);
+    std::optional<TailAttributionCollector> collector;
+    if (attribution_)
+        collector.emplace(numStages);
     if (wantCompletionSeries) {
         std::vector<const std::vector<TimeSeries::Point> *> streams;
         for (const auto &st : stacks)
             streams.push_back(&st->completionLat.points());
+        std::vector<StageSpan> spans;
+        const auto n = static_cast<std::size_t>(numStages);
         mergeByTime(streams, [&](std::size_t g, std::size_t i) {
             const auto &p = (*streams[g])[i];
             if (sloTracker)
                 sloTracker->observe(p.t, p.value);
             if (recordTraces_)
                 result.latencySeries.append(p.t, p.value);
+            if (collector) {
+                const auto at = stacks[g]->attribSpans.begin() +
+                    static_cast<std::ptrdiff_t>(i * n);
+                spans.assign(at, at + static_cast<std::ptrdiff_t>(n));
+                collector->addQuery(p.value, spans);
+            }
         });
     }
     if (sloTracker) {
         sloTracker->finish(sc.duration);
         result.slo = sloTracker->report();
     }
-    if (attribution_) {
-        TailAttributionCollector collector(numStages);
-        std::vector<std::vector<TimeSeries::Point>> times(
-            stacks.size());
-        for (std::size_t g = 0; g < stacks.size(); ++g)
-            for (const auto &sample : stacks[g]->attribSamples)
-                times[g].push_back({sample.t, 0.0});
-        std::vector<const std::vector<TimeSeries::Point> *> streams;
-        for (const auto &t : times)
-            streams.push_back(&t);
-        mergeByTime(streams, [&](std::size_t g, std::size_t i) {
-            const AttribSample &sample =
-                stacks[g]->attribSamples[i];
-            collector.addQuery(sample.sec, sample.spans);
-        });
-        result.tailAttribution = collector.report();
-    }
+    if (collector)
+        result.tailAttribution = collector->report();
 
     if (recordTraces_) {
         // Fleet instance counts and power: pointwise sums over the
@@ -930,7 +1024,7 @@ ExperimentRunner::runSharded(const Scenario &sc,
         result.critpath = merged;
     }
 
-    writeMergedOutputs();
+    writeOutputs();
     return result;
 }
 

@@ -64,6 +64,13 @@ ShardedEngine::run(SimTime deadline, int workers)
     if (deadline <= now_)
         return;
     const int shards = numShards();
+    if (shards == 1) {
+        // Nothing can post across shards, so there is no window to
+        // synchronize: one shard is a plain simulator run.
+        sims_.front()->runUntil(deadline);
+        now_ = deadline;
+        return;
+    }
     workers = std::clamp(workers, 1, shards);
 
     deadline_ = deadline;

@@ -78,7 +78,9 @@ class ShardedEngine
      * Advance all shards to @p deadline using @p workers threads
      * (clamped to [1, shards]). Shard i is executed by worker
      * i % workers, lowest-index shards first — a static assignment, so
-     * the execution is identical at any worker count.
+     * the execution is identical at any worker count. A single shard
+     * has no cross-shard traffic to window, so it runs straight to
+     * the deadline, exactly like Simulator::runUntil.
      */
     void run(SimTime deadline, int workers);
 

@@ -14,6 +14,7 @@
  * and commit the rewritten golden files with the change that caused it.
  */
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -117,6 +118,90 @@ INSTANTIATE_TEST_SUITE_P(
           case PolicyKind::CuttleSys: return std::string("CuttleSys");
           default: return std::string("Unknown");
         }
+    });
+
+/**
+ * The golden files above pin the no-collector result only. This pins
+ * the full-collector result — traces, tail attribution, audit and
+ * critpath summaries, SLO report — on the same scenarios, clean and
+ * under a lossy fault plan, as an fnv1a64 fingerprint of the serialized
+ * RunResult. A deliberate behaviour change re-pins the hashes printed
+ * by the failure message.
+ */
+struct CollectorPin
+{
+    PolicyKind policy;
+    bool lossy;
+    std::uint64_t hash;
+};
+
+const CollectorPin kCollectorPins[] = {
+    {PolicyKind::PowerChief, false, 0x74fdfbd64befc2e5ull},
+    {PolicyKind::PowerChief, true, 0xdeb724a8883dbdd9ull},
+    {PolicyKind::FastCap, false, 0x60aeb64710732aeeull},
+    {PolicyKind::FastCap, true, 0x6933910054e6c194ull},
+    {PolicyKind::CuttleSys, false, 0xfb1f753abd14d5b5ull},
+    {PolicyKind::CuttleSys, true, 0x47c88d43ec6d2cb6ull},
+};
+
+Scenario
+collectorScenario(const CollectorPin &pin)
+{
+    Scenario sc = Scenario::goldenFig11For(pin.policy);
+    if (pin.lossy) {
+        sc.faults.active = true;
+        sc.faults.seed = 23;
+        BusFaultRule bus;
+        bus.dropRate = 0.03;
+        bus.reorderRate = 0.1;
+        bus.reorderJitterMax = SimTime::msec(5);
+        sc.faults.bus.push_back(bus);
+        sc.faults.telemetry.staleRate = 0.1;
+        sc.faults.telemetry.truncateRate = 0.05;
+        sc.faults.telemetry.perfCtlFailRate = 0.2;
+        sc.wireReports = true;
+        sc.control.staleWindow = SimTime::sec(60);
+        sc.name += "/lossy";
+    }
+    return sc;
+}
+
+class CollectorFingerprint : public ::testing::TestWithParam<CollectorPin>
+{
+};
+
+TEST_P(CollectorFingerprint, FullCollectorResultIsPinned)
+{
+    const CollectorPin &pin = GetParam();
+    SloConfig slo;
+    slo.enabled = true;
+    const ExperimentRunner runner(/*recordTraces=*/true, SimTime::sec(5),
+                                  /*attribution=*/true,
+                                  /*collectAudit=*/true, slo,
+                                  /*collectCritPath=*/true);
+    const RunResult r = runner.run(collectorScenario(pin));
+    ASSERT_TRUE(r.tailAttribution.enabled);
+    ASSERT_TRUE(r.audit.collected);
+    ASSERT_TRUE(r.critpath.collected);
+    ASSERT_TRUE(r.slo.collected);
+    ASSERT_FALSE(r.latencySeries.points().empty());
+    char fresh[32];
+    std::snprintf(fresh, sizeof(fresh), "0x%016llxull",
+                  static_cast<unsigned long long>(
+                      fnv1a64(runResultToJson(r).dump())));
+    char pinned[32];
+    std::snprintf(pinned, sizeof(pinned), "0x%016llxull",
+                  static_cast<unsigned long long>(pin.hash));
+    EXPECT_STREQ(pinned, fresh)
+        << "full-collector result of " << toString(pin.policy)
+        << (pin.lossy ? " (lossy)" : " (clean)") << " diverged";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, CollectorFingerprint, ::testing::ValuesIn(kCollectorPins),
+    [](const ::testing::TestParamInfo<CollectorPin> &info) {
+        return std::string(toString(info.param.policy)) +
+            (info.param.lossy ? "_lossy" : "_clean");
     });
 
 } // namespace

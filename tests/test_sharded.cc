@@ -4,10 +4,12 @@
  * with node groups produces bit-identical results and artifacts at ANY
  * worker count — clean or under a lossy fault plan, serial or through
  * the parallel sweep pool. Plus unit tests of the conservative
- * time-window engine itself (sim/sharded_engine.h) and of the cache-key
- * treatment of the topology knobs.
+ * time-window engine itself (sim/sharded_engine.h), of one-group
+ * (single-node) runs on it, and of the cache-key treatment of the
+ * topology knobs.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -111,6 +113,64 @@ TEST(ShardedEngine, DeliveryOrderIndependentOfWorkerCount)
     const auto oversubscribed = runOnce(8); // workers > shards clamps
     EXPECT_EQ(serial, parallel);
     EXPECT_EQ(serial, oversubscribed);
+}
+
+/**
+ * Seed @p sim with events that stress a 10 ms window grid: one-shots
+ * exactly on the window edges, a periodic that ties with them, and
+ * self-posts through @p post (zero delay and one full window ahead).
+ */
+template <typename Post>
+void
+seedWindowEdgeEvents(Simulator &sim, std::vector<std::string> &log,
+                     Post post)
+{
+    auto note = [&sim, &log](std::string tag) {
+        log.push_back(tag + "@" + std::to_string(sim.now().toUsec()));
+    };
+    sim.schedulePeriodic(SimTime::msec(5), SimTime::msec(5),
+                         [note]() { note("tick"); });
+    for (int k = 1; k <= 4; ++k) {
+        sim.scheduleAt(SimTime::msec(10 * k), [note, post, &sim, k]() {
+            note("edge" + std::to_string(k));
+            post(sim.now(), [note]() { note("now-post"); });
+            post(sim.now() + SimTime::msec(10),
+                 [note]() { note("next-post"); });
+        });
+    }
+    sim.scheduleAt(SimTime::msec(13), [note]() { note("mid"); });
+}
+
+TEST(ShardedEngine, OneShardRunsLikeAPlainSimulator)
+{
+    // The deadline sits on a window edge: events at exactly the
+    // deadline run, later self-posts stay queued — in both engines.
+    const SimTime deadline = SimTime::msec(40);
+
+    Simulator plain;
+    std::vector<std::string> expected;
+    seedWindowEdgeEvents(plain, expected,
+                         [&plain](SimTime at, Simulator::Callback fn) {
+                             plain.scheduleAt(at, std::move(fn));
+                         });
+    plain.runUntil(deadline);
+
+    ShardedEngine engine(1, SimTime::msec(10));
+    std::vector<std::string> got;
+    seedWindowEdgeEvents(engine.shard(0), got,
+                         [&engine](SimTime at, Simulator::Callback fn) {
+                             engine.post(0, 0, at, std::move(fn));
+                         });
+    engine.run(deadline, 4);
+
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ(engine.now(), plain.now());
+    EXPECT_EQ(engine.shard(0).now(), plain.now());
+    EXPECT_EQ(engine.crossShardEvents(), 0u);
+    // Sanity: the seeded stream actually exercised the edges.
+    EXPECT_NE(std::find(expected.begin(), expected.end(),
+                        "now-post@40000"),
+              expected.end());
 }
 
 // ------------------------------------------- sharded run determinism
@@ -261,6 +321,30 @@ INSTANTIATE_TEST_SUITE_P(CleanAndLossy, ShardedDeterminism,
                          [](const auto &info) {
                              return info.param ? "lossy" : "clean";
                          });
+
+// ------------------------------------------------------ one-group runs
+
+TEST(OneGroupRun, SprayAndLoadScaleAreResultNeutral)
+{
+    // A single-node scenario is a one-group run. The fleet knobs stay
+    // out of its cache key (scenarioCanonical) and the CLI sets
+    // remoteFraction to its default even at --node-groups=1, so they
+    // must not change a single result byte there.
+    const Scenario plain = Scenario::goldenFig11();
+    Scenario knobs = plain;
+    knobs.remoteFraction = 0.3;
+    knobs.groupLoadScale = {2.0};
+    ASSERT_EQ(knobs.nodeGroups, 1);
+    SloConfig slo;
+    slo.enabled = true;
+    const ExperimentRunner runner(/*recordTraces=*/true, SimTime::sec(5),
+                                  /*attribution=*/true,
+                                  /*collectAudit=*/true, slo,
+                                  /*collectCritPath=*/true);
+    EXPECT_EQ(runResultToJson(runner.run(knobs)).dump(),
+              runResultToJson(runner.run(plain)).dump());
+    EXPECT_EQ(*scenarioCanonical(knobs), *scenarioCanonical(plain));
+}
 
 // ------------------------------------------------------ cache identity
 

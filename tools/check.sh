@@ -26,6 +26,9 @@
 # bench/fleet smoke demands the arbiter strictly beat the static
 # equal split at the same global cap.
 #
+# The host-time benchmark (perfbench/run.py) then runs a short pass of
+# each workload and fails unless every run matches its pinned result.
+#
 # Finally the Release build runs the micro_core benchmark suite and
 # gates it against the checked-in BENCH_*.json perf trajectory
 # (tools/bench_gate.py). The gate is enforced: any benchmark slower
@@ -239,6 +242,21 @@ echo "=== fleet arena smoke (release, cached, gated) ==="
     --out="${tracedir}/fleet2.json" >/dev/null
 cmp "${tracedir}/fleet.json" "${tracedir}/fleet2.json"
 
+echo "=== perfbench pinned results (arena, mega, fleet_observed) ==="
+# The host-time benchmark checks every run against the fingerprints in
+# perfbench/pins.json and prints "correct": false when one drifts. A
+# short pass per workload catches a drifted pinned result here instead
+# of in a benchmark run. run.py keeps its own Release build.
+for workload in arena mega fleet_observed; do
+    line="$(python3 perfbench/run.py --workload "${workload}" \
+        --seconds 3 | grep '^{' | tail -1)"
+    echo "${workload}: ${line}"
+    if [[ "${line}" != *'"correct": true'* ]]; then
+        echo "perfbench ${workload}: a run drifted from its pin" >&2
+        exit 1
+    fi
+done
+
 echo "=== chaos sweep (fault-matrix invariants, asan) ==="
 # Drops, duplicates, reordering, crashes, stale/truncated telemetry,
 # RAPL and PERF_CTL faults. The runner aborts on any query-conservation
@@ -264,5 +282,5 @@ echo "All sanitizer variants, the Release leg, the sharded TSan and"
 echo "shards-1-vs-8 byte-identity legs (cluster arbiter included),"
 echo "trace validation, the timeseries/dashboard checks, the"
 echo "critical-path byte-identity legs, the golden trace diffs, the"
-echo "policy-arena smoke, the gated fleet-arena smoke, the chaos"
-echo "sweep and the enforced perf gate passed."
+echo "policy-arena smoke, the gated fleet-arena smoke, the perfbench"
+echo "pin checks, the chaos sweep and the enforced perf gate passed."
