@@ -170,7 +170,7 @@ BottleneckIdentifier::stageDelayQuantiles(int stage, const double *qs,
     }
     const InstanceStats &stats =
         perStage_[static_cast<std::size_t>(stage)];
-    // One sort per window for all requested quantiles.
+    // One copy per window for all requested quantiles (selection each).
     std::array<double, 8> queuing{}, serving{};
     const std::size_t m = std::min<std::size_t>(n, queuing.size());
     stats.queuing.quantiles(qs, queuing.data(), m);

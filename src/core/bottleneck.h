@@ -175,9 +175,10 @@ class BottleneckIdentifier
     double stageDelayQuantileSec(int stage, double q) const;
 
     /**
-     * @p n delay quantiles of @p stage at once — one sort of each
-     * underlying window instead of one per quantile, since the health
-     * taps read p95 and p99 together every control interval.
+     * @p n delay quantiles of @p stage at once — one copy of each
+     * underlying window, with a selection per quantile, instead of one
+     * copy per quantile, since the health taps read p95 and p99
+     * together every control interval.
      */
     void stageDelayQuantiles(int stage, const double *qs, double *out,
                              std::size_t n) const;

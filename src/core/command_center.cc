@@ -277,7 +277,7 @@ CommandCenter::tick()
         }
 
         if (healthE2eP95_) {
-            // Both quantiles of each window in one sort (the taps are
+            // Both quantiles of each window from one copy (the taps are
             // the dominant sampling cost; see MovingWindow::quantiles).
             static constexpr double kTailQs[2] = {0.95, 0.99};
             double tails[2];

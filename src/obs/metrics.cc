@@ -101,7 +101,7 @@ MetricsRegistry::visitStable(
         if (slot.vol == Volatility::Stable)
             fn(name, SampleKind::Gauge, slot.unit, slot.metric->value());
     // Histograms are sampled through O(1) projections only: quantiles
-    // would re-sort the retained samples every control interval. The
+    // would scan every retained sample every control interval. The
     // projection names are cached so the per-interval visit allocates
     // nothing.
     for (const auto &[name, slot] : histograms_) {

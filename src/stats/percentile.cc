@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "stats/select.h"
 
 namespace pc {
 
@@ -11,7 +12,7 @@ void
 ExactPercentile::add(double x)
 {
     samples_.push_back(x);
-    sorted_ = false;
+    pivot_ = kNoPivot;
 }
 
 void
@@ -27,12 +28,12 @@ ExactPercentile::merge(const ExactPercentile &other)
         samples_.reserve(2 * n);
         for (std::size_t i = 0; i < n; ++i)
             samples_.push_back(samples_[i]);
-        sorted_ = false;
+        pivot_ = kNoPivot;
         return;
     }
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());
-    sorted_ = false;
+    pivot_ = kNoPivot;
 }
 
 double
@@ -40,36 +41,33 @@ ExactPercentile::quantile(double q) const
 {
     if (samples_.empty())
         return 0.0;
-    if (q < 0.0 || q > 1.0)
+    if (!(q >= 0.0 && q <= 1.0)) // also rejects NaN
         panic("quantile %f outside [0,1]", q);
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
     const double rank = q * static_cast<double>(samples_.size() - 1);
     const auto lo = static_cast<std::size_t>(std::floor(rank));
     const auto hi = static_cast<std::size_t>(std::ceil(rank));
     const double frac = rank - std::floor(rank);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+    // hi is lo or lo + 1; see stats/select.h for why this selection is
+    // bit-identical to reading both ranks from a sorted buffer.
+    selectNth(samples_, lo, pivot_);
+    const double upper =
+        hi == lo ? samples_[lo] : nextAfterNth(samples_, lo);
+    return samples_[lo] * (1.0 - frac) + upper * frac;
 }
 
 std::size_t
 ExactPercentile::countAtOrBelow(double x) const
 {
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
     return static_cast<std::size_t>(
-        std::upper_bound(samples_.begin(), samples_.end(), x) -
-        samples_.begin());
+        std::count_if(samples_.begin(), samples_.end(),
+                       [x](double v) { return v <= x; }));
 }
 
 void
 ExactPercentile::clear()
 {
     samples_.clear();
-    sorted_ = true;
+    pivot_ = kNoPivot;
 }
 
 P2Quantile::P2Quantile(double q) : q_(q)

@@ -15,6 +15,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "stats/select.h"
+
 namespace pc {
 
 /** Exact quantiles over a retained sample buffer. */
@@ -27,7 +29,9 @@ class ExactPercentile
     bool empty() const { return samples_.empty(); }
 
     /**
-     * Quantile via linear interpolation between closest ranks.
+     * Quantile via linear interpolation between closest ranks, found
+     * by selection (stats/select.h: O(n) expected; reorders the
+     * buffer, which is why the samples are mutable).
      * @param q in [0, 1]; q=0.99 is the paper's tail metric.
      */
     double quantile(double q) const;
@@ -37,7 +41,7 @@ class ExactPercentile
 
     /**
      * Samples with value <= @p x — the cumulative count behind the
-     * histogram bucket serialization (obs/metrics.h).
+     * histogram bucket serialization (obs/metrics.h). A linear count.
      */
     std::size_t countAtOrBelow(double x) const;
 
@@ -52,7 +56,9 @@ class ExactPercentile
 
   private:
     mutable std::vector<double> samples_;
-    mutable bool sorted_ = true;
+    /** Where the last quantile() left samples_ partitioned (kNoPivot
+     *  once add/merge/clear touched the buffer). */
+    mutable std::size_t pivot_ = kNoPivot;
 };
 
 /**

@@ -22,7 +22,9 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/time.h"
+#include "stats/select.h"
 
 namespace pc {
 
@@ -88,17 +90,22 @@ class MovingWindow
     }
 
     /**
-     * @p n exact quantiles with ONE copy+sort of the window — the
-     * health taps read p95 and p99 of the same window every control
-     * interval, and sorting twice would double the dominant cost of
-     * sampling. Empty windows yield all zeros. The sort scratch is
+     * @p n exact quantiles from ONE copy of the window, each answered
+     * by selection (stats/select.h: O(size) expected, bit-identical to
+     * sorting) — the health taps read p95 and p99 of the same window
+     * every control interval and rank() reads a p99 per instance, so
+     * this is the dominant cost of sampling. Empty windows yield all
+     * zeros; q outside [0,1] (or NaN) panics. The scratch copy is
      * reused across calls (single-writer, like every stats container
      * here).
      */
     void
     quantiles(const double *qs, double *out, std::size_t n) const
     {
-        // Asking for zero quantiles must not pay the copy+sort (the
+        for (std::size_t i = 0; i < n; ++i)
+            if (!(qs[i] >= 0.0 && qs[i] <= 1.0))
+                panic("quantile %f outside [0,1]", qs[i]);
+        // Asking for zero quantiles must not pay the copy (the
         // cluster arbiter's report path may probe conditionally).
         if (n == 0)
             return;
@@ -111,14 +118,17 @@ class MovingWindow
         scratch_.reserve(count_);
         for (std::size_t i = 0; i < count_; ++i)
             scratch_.push_back(buf_[wrap(head_ + i)].value);
-        std::sort(scratch_.begin(), scratch_.end());
+        std::size_t pivot = kNoPivot;
         for (std::size_t i = 0; i < n; ++i) {
             const double rank =
                 qs[i] * static_cast<double>(scratch_.size() - 1);
             const auto lo = static_cast<std::size_t>(rank);
             const auto hi = std::min(lo + 1, scratch_.size() - 1);
             const double frac = rank - static_cast<double>(lo);
-            out[i] = scratch_[lo] * (1.0 - frac) + scratch_[hi] * frac;
+            selectNth(scratch_, lo, pivot);
+            const double upper =
+                hi == lo ? scratch_[lo] : nextAfterNth(scratch_, lo);
+            out[i] = scratch_[lo] * (1.0 - frac) + upper * frac;
         }
     }
 
@@ -153,7 +163,7 @@ class MovingWindow
     std::vector<Sample> buf_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
-    /** Reusable quantile sort buffer (see quantiles()). */
+    /** Reusable quantile selection buffer (see quantiles()). */
     mutable std::vector<double> scratch_;
 };
 

@@ -10,6 +10,7 @@
  */
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -476,6 +477,54 @@ INSTANTIATE_TEST_SUITE_P(CleanAndLossy, ClusterDeterminism,
                          [](const auto &info) {
                              return info.param ? "lossy" : "clean";
                          });
+
+/**
+ * The determinism tests above compare a build against itself, so a
+ * change that moved every worker count's artifacts the same way would
+ * pass them. This pins the bytes: fnv1a64 of the metrics (histograms
+ * with p50/p90/p99 and cumulative buckets), critpath and timeseries
+ * (health-tap quantiles) files of a short 4-group fleet run with SLO,
+ * alerts and attribution on. A deliberate behaviour change re-pins the
+ * hashes printed by the failure message.
+ */
+TEST(FleetArtifacts, ArtifactBytesArePinned)
+{
+    const Scenario sc =
+        fleetScenario(ClusterPolicyKind::ProportionalDemand,
+                      /*withFaults=*/true);
+    const std::string base = ::testing::TempDir() + "/fleet_pin";
+    TelemetryConfig telemetry;
+    telemetry.alertsEnabled = true;
+    telemetry.metricsOut = base + ".metrics.json";
+    telemetry.critpathOut = base + ".critpath.json";
+    telemetry.timeseriesOut = base + ".timeseries.json";
+    SloConfig slo;
+    slo.enabled = true;
+    ExperimentRunner runner(/*recordTraces=*/false, SimTime::sec(5),
+                            /*attribution=*/true, /*collectAudit=*/true,
+                            slo, /*collectCritPath=*/true);
+    runner.setShards(2);
+    const RunResult result = runner.run(sc, &telemetry);
+    ASSERT_GT(result.completed, 0u);
+
+    const auto fingerprint = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        EXPECT_TRUE(in.good()) << "cannot open " << path;
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        char hex[32];
+        std::snprintf(hex, sizeof(hex), "0x%016llxull",
+                      static_cast<unsigned long long>(fnv1a64(buf.str())));
+        return std::string(hex);
+    };
+    EXPECT_EQ(fingerprint(telemetry.metricsOut), "0x0430cd7f234b292cull")
+        << "metrics artifact bytes diverged";
+    EXPECT_EQ(fingerprint(telemetry.critpathOut), "0xafea6b735a35ef62ull")
+        << "critpath artifact bytes diverged";
+    EXPECT_EQ(fingerprint(telemetry.timeseriesOut),
+              "0xf7bdc68ee1bd6dc2ull")
+        << "timeseries artifact bytes diverged";
+}
 
 // ------------------------------------------------- scenario identity
 

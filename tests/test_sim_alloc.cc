@@ -24,6 +24,7 @@
 #include "core/bottleneck.h"
 #include "core/withdraw.h"
 #include "sim/simulator.h"
+#include "stats/window.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define PC_SANITIZED 1
@@ -226,6 +227,79 @@ TEST_F(SimAllocTest, SteadyStateBottleneckObserveIsAllocationFree)
     const std::uint64_t before = allocationCount();
     for (int i = 4000; i < 6000; ++i)
         feed(SimTime::msec(10 * i));
+    EXPECT_EQ(allocationCount() - before, 0u);
+}
+
+TEST_F(SimAllocTest, SteadyStateWindowQuantilesAreAllocationFree)
+{
+    // Quantiles select inside a reused scratch copy of the window:
+    // once the ring and the scratch have reached the sliding window's
+    // size, a slide plus a batch of quantiles allocates nothing.
+    MovingWindow w(SimTime::sec(1));
+    static constexpr double kQs[3] = {0.99, 0.5, 0.95};
+    double out[3];
+    for (int i = 0; i < 2000; ++i) {
+        w.add(SimTime::msec(i), static_cast<double>((i * 7919) % 1000));
+        w.quantiles(kQs, out, 3);
+    }
+
+    const std::uint64_t before = allocationCount();
+    for (int i = 2000; i < 4000; ++i) {
+        w.add(SimTime::msec(i), static_cast<double>((i * 7919) % 1000));
+        w.quantiles(kQs, out, 3);
+        (void)w.quantile(0.99);
+    }
+    EXPECT_EQ(allocationCount() - before, 0u);
+}
+
+TEST_F(SimAllocTest, SteadyStateStageDelayQuantilesAreAllocationFree)
+{
+    // The health taps' per-interval read: every stage's p95/p99 from
+    // its aggregate windows. After warm-up it must reuse the windows'
+    // scratch copies rather than allocate.
+    Simulator sim;
+    const PowerModel model = PowerModel::haswell();
+    CmpChip chip(&sim, &model, 8);
+    MessageBus bus(&sim);
+    std::vector<StageSpec> specs = {
+        {"A", 2, 0, DispatchPolicy::JoinShortestQueue},
+        {"B", 2, 0, DispatchPolicy::JoinShortestQueue},
+    };
+    MultiStageApp app(&sim, &chip, &bus, "app", specs);
+    BottleneckIdentifier identifier(SimTime::sec(30));
+
+    // Instance ids snapshotted once, as in the observe() test above.
+    std::vector<std::vector<std::int64_t>> ids(
+        static_cast<std::size_t>(app.numStages()));
+    for (int s = 0; s < app.numStages(); ++s)
+        for (const auto *inst : app.stage(s).instances())
+            ids[static_cast<std::size_t>(s)].push_back(inst->id());
+
+    std::vector<HopRecord> hops(1);
+    static constexpr double kTailQs[2] = {0.95, 0.99};
+    double tails[2];
+    const auto step = [&](int i) {
+        const SimTime at = SimTime::msec(10 * i);
+        for (int s = 0; s < app.numStages(); ++s) {
+            for (const std::int64_t id : ids[static_cast<std::size_t>(s)]) {
+                hops[0].instanceId = id;
+                hops[0].stageIndex = s;
+                hops[0].enqueued = at;
+                hops[0].started = at + SimTime::msec(1 + i % 5);
+                hops[0].finished = at + SimTime::msec(6 + i % 7);
+                identifier.observe(at, hops);
+            }
+            identifier.stageDelayQuantiles(s, kTailQs, tails, 2);
+        }
+    };
+
+    // Past one full window span (30 s = 3000 steps at 10 ms).
+    for (int i = 0; i < 4000; ++i)
+        step(i);
+
+    const std::uint64_t before = allocationCount();
+    for (int i = 4000; i < 5000; ++i)
+        step(i);
     EXPECT_EQ(allocationCount() - before, 0u);
 }
 

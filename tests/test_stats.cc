@@ -1,6 +1,10 @@
 /** @file Unit tests for the statistics module. */
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -181,8 +185,8 @@ TEST(ExactPercentile, MergeAfterQueryMatchesUnionOrder)
         a.add(x);
     for (double x : {2.0, 8.0})
         b.add(x);
-    // Query first so both sides are in their sorted state, then merge:
-    // the union must re-sort, not interleave stale sorted runs.
+    // Query first so selection has reordered both buffers, then merge:
+    // the union must answer over every sample, not stale partitions.
     EXPECT_DOUBLE_EQ(a.median(), 5.0);
     EXPECT_DOUBLE_EQ(b.median(), 5.0);
     a.merge(b);
@@ -231,7 +235,199 @@ TEST(ExactPercentileDeath, OutOfRangeQuantilePanics)
     ExactPercentile p;
     p.add(1.0);
     EXPECT_DEATH((void)p.quantile(1.5), "outside");
+    EXPECT_DEATH((void)p.quantile(-0.5), "outside");
+    EXPECT_DEATH(
+        (void)p.quantile(std::numeric_limits<double>::quiet_NaN()),
+        "outside");
 }
+
+// ------------------------------- selection vs sort-based references
+//
+// Both quantile primitives answer by selection (std::nth_element) and
+// must return exactly what the sort-based interpolation returns — the
+// artifacts and fingerprints depend on the bits. The references below
+// are that interpolation, written out over a sorted copy. The domain
+// is non-negative, non-NaN samples: latencies come from integer
+// SimTime, so -0.0 (which compares equal to +0.0 but has other bits)
+// and NaN (unordered) never occur, and neither is generated here.
+
+/** ExactPercentile's closest-ranks interpolation over a sorted copy. */
+double
+sortedExactQuantile(std::vector<double> v, double q)
+{
+    std::sort(v.begin(), v.end());
+    const double rank = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    const double frac = rank - std::floor(rank);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+/** MovingWindow's interpolation over a sorted copy. */
+double
+sortedWindowQuantile(std::vector<double> v, double q)
+{
+    std::sort(v.begin(), v.end());
+    const double rank = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const auto hi = std::min(lo + 1, v.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/** Requested out of order on purpose: selection must not rely on it. */
+constexpr double kPropertyQs[] = {0.99, 0.0, 0.5, 1.0, 0.9, 0.95};
+
+/** Sizes 1..2000: every size up to 64, then ~10 % steps. */
+std::vector<std::size_t>
+propertySizes()
+{
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 64; ++n)
+        sizes.push_back(n);
+    for (std::size_t n = 70; n < 2000; n += n / 10)
+        sizes.push_back(n);
+    sizes.push_back(2000);
+    return sizes;
+}
+
+/**
+ * @p n latency-like samples (integer microseconds in seconds). With
+ * @p duplicates the values come from eight distinct levels, so most
+ * ranks sit inside tied runs.
+ */
+std::vector<double>
+propertySamples(Rng &rng, std::size_t n, bool duplicates)
+{
+    std::vector<double> v(n);
+    for (double &x : v) {
+        const std::int64_t us = duplicates
+            ? 250 * rng.uniformInt(0, 7)
+            : rng.uniformInt(0, 2000000);
+        x = SimTime::usec(us).toSec();
+    }
+    return v;
+}
+
+/** Expect every kPropertyQs answer of @p p to match the reference. */
+void
+expectExactMatchesSorted(const ExactPercentile &p,
+                         const std::vector<double> &ref)
+{
+    for (const double q : kPropertyQs) {
+        EXPECT_EQ(bits(p.quantile(q)), bits(sortedExactQuantile(ref, q)))
+            << "n=" << ref.size() << " q=" << q;
+    }
+}
+
+class SelectionProperty : public ::testing::TestWithParam<bool>
+{
+};
+
+TEST_P(SelectionProperty, ExactPercentileBitIdenticalToSortedReference)
+{
+    Rng rng(GetParam() ? 41 : 17);
+    for (const std::size_t n : propertySizes()) {
+        const std::vector<double> v = propertySamples(rng, n, GetParam());
+        ExactPercentile p;
+        for (const double x : v)
+            p.add(x);
+        expectExactMatchesSorted(p, v);
+        // Repeated calls answer from the reordered buffer.
+        expectExactMatchesSorted(p, v);
+
+        // countAtOrBelow after selection reordered the buffer: at
+        // every sample value, just below the minimum and at the
+        // histogram's bucket bounds.
+        std::vector<double> probes = v;
+        probes.push_back(-1.0);
+        for (const double b : {0.001, 0.01, 0.1, 1.0, 10.0})
+            probes.push_back(b);
+        for (std::size_t i = 0; i < probes.size(); i += 1 + n / 64) {
+            const double x = probes[i];
+            const auto expected = static_cast<std::size_t>(
+                std::count_if(v.begin(), v.end(),
+                              [x](double s) { return s <= x; }));
+            EXPECT_EQ(p.countAtOrBelow(x), expected) << "n=" << n;
+        }
+
+        // Add after a query.
+        std::vector<double> grown = v;
+        const std::vector<double> extra =
+            propertySamples(rng, 1 + n / 3, GetParam());
+        for (const double x : extra) {
+            p.add(x);
+            grown.push_back(x);
+        }
+        expectExactMatchesSorted(p, grown);
+
+        // Merge a queried other side into a queried buffer.
+        ExactPercentile other;
+        for (const double x : v)
+            other.add(x * 0.5);
+        (void)other.quantile(0.5);
+        p.merge(other);
+        for (const double x : v)
+            grown.push_back(x * 0.5);
+        expectExactMatchesSorted(p, grown);
+
+        // Self-merge doubles every sample.
+        p.merge(p);
+        const std::vector<double> once = grown;
+        grown.insert(grown.end(), once.begin(), once.end());
+        expectExactMatchesSorted(p, grown);
+        EXPECT_EQ(p.count(), grown.size());
+
+        // Clear after a query starts over from nothing.
+        p.clear();
+        EXPECT_EQ(bits(p.quantile(0.99)), bits(0.0));
+        EXPECT_EQ(p.countAtOrBelow(1e9), 0u);
+        p.add(v.front());
+        expectExactMatchesSorted(p, {v.front()});
+    }
+}
+
+TEST_P(SelectionProperty, MovingWindowBitIdenticalToSortedReference)
+{
+    Rng rng(GetParam() ? 43 : 19);
+    for (const std::size_t n : propertySizes()) {
+        // 2n samples 1 ms apart under an (n - 1) ms span: the window
+        // retains exactly the last n, and the ring has wrapped.
+        const std::vector<double> v =
+            propertySamples(rng, 2 * n, GetParam());
+        MovingWindow w(SimTime::msec(static_cast<std::int64_t>(n) - 1));
+        for (std::size_t i = 0; i < v.size(); ++i)
+            w.add(SimTime::msec(static_cast<std::int64_t>(i)), v[i]);
+        ASSERT_EQ(w.size(), n);
+        const std::vector<double> retained(v.end() - n, v.end());
+
+        constexpr std::size_t kQs = std::size(kPropertyQs);
+        for (int pass = 0; pass < 2; ++pass) {
+            double out[kQs];
+            w.quantiles(kPropertyQs, out, kQs);
+            for (std::size_t i = 0; i < kQs; ++i) {
+                const double q = kPropertyQs[i];
+                EXPECT_EQ(bits(out[i]),
+                          bits(sortedWindowQuantile(retained, q)))
+                    << "n=" << n << " q=" << q << " pass=" << pass;
+                EXPECT_EQ(bits(w.quantile(q)), bits(out[i]));
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Inputs, SelectionProperty,
+                         ::testing::Values(false, true),
+                         [](const auto &info) {
+                             return info.param ? "duplicates"
+                                               : "continuous";
+                         });
 
 // ------------------------------------------------------------ P2Quantile
 
@@ -362,7 +558,7 @@ TEST(MovingWindow, BatchQuantilesEdgeCases)
 {
     MovingWindow w(SimTime::sec(60));
     // Zero quantiles requested: must not touch the output (and must
-    // not pay the copy+sort — the arbiter report path may probe
+    // not pay the copy — the arbiter report path may probe
     // conditionally).
     double sentinel = 42.0;
     w.quantiles(nullptr, &sentinel, 0);
@@ -373,6 +569,22 @@ TEST(MovingWindow, BatchQuantilesEdgeCases)
     w.quantiles(qs, out, 2);
     EXPECT_DOUBLE_EQ(out[0], 0.0);
     EXPECT_DOUBLE_EQ(out[1], 0.0);
+}
+
+TEST(MovingWindowDeath, OutOfRangeQuantilePanics)
+{
+    MovingWindow w(SimTime::sec(60));
+    w.add(SimTime::sec(1), 1.0);
+    w.add(SimTime::sec(2), 2.0);
+    EXPECT_DEATH((void)w.quantile(1.5), "outside");
+    EXPECT_DEATH((void)w.quantile(-0.01), "outside");
+    EXPECT_DEATH(
+        (void)w.quantile(std::numeric_limits<double>::quiet_NaN()),
+        "outside");
+    // One bad entry in a batch is enough.
+    const double qs[2] = {0.5, 2.0};
+    double out[2];
+    EXPECT_DEATH(w.quantiles(qs, out, 2), "outside");
 }
 
 TEST(TimeSeries, AppendAndSize)
