@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/canonical_text.h"
 #include "common/logging.h"
 
 namespace pc {
@@ -22,32 +23,6 @@ fnv1a64(const std::string &text)
     }
     return hash;
 }
-
-namespace {
-
-void
-appendNum(std::string *out, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g,", v);
-    *out += buf;
-}
-
-void
-appendInt(std::string *out, long long v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld,", v);
-    *out += buf;
-}
-
-void
-appendTime(std::string *out, SimTime t)
-{
-    appendInt(out, static_cast<long long>(t.toUsec()));
-}
-
-} // namespace
 
 std::optional<std::string>
 scenarioCanonical(const Scenario &sc)
@@ -146,357 +121,18 @@ scenarioCanonical(const Scenario &sc)
     return out;
 }
 
-namespace {
-
-JsonValue
-seriesToJson(const TimeSeries &series)
-{
-    JsonArray points;
-    points.reserve(series.size());
-    for (const auto &p : series.points()) {
-        points.push_back(JsonValue(JsonArray{
-            JsonValue(static_cast<double>(p.t.toUsec())),
-            JsonValue(p.value)}));
-    }
-    JsonObject obj;
-    obj.emplace("name", series.name());
-    obj.emplace("points", JsonValue(std::move(points)));
-    return JsonValue(std::move(obj));
-}
-
-std::optional<TimeSeries>
-seriesFromJson(const JsonValue &doc)
-{
-    if (!doc.isObject())
-        return std::nullopt;
-    const JsonValue *name = doc.find("name");
-    const JsonValue *points = doc.find("points");
-    if (!name || !name->isString() || !points || !points->isArray())
-        return std::nullopt;
-    TimeSeries series(name->asString());
-    for (const auto &p : points->asArray()) {
-        if (!p.isArray() || p.asArray().size() != 2 ||
-            !p.asArray()[0].isNumber() || !p.asArray()[1].isNumber())
-            return std::nullopt;
-        series.append(SimTime::usec(static_cast<std::int64_t>(
-                          p.asArray()[0].asNumber())),
-                      p.asArray()[1].asNumber());
-    }
-    return series;
-}
-
-JsonValue
-attributionToJson(const TailAttributionReport &report)
-{
-    JsonArray cuts;
-    for (const auto &cut : report.cuts) {
-        JsonObject c;
-        c.emplace("q", cut.q);
-        c.emplace("tail_count", static_cast<double>(cut.tailCount));
-        c.emplace("threshold_s", cut.thresholdSec);
-        c.emplace("mean_tail_s", cut.meanTailSec);
-        c.emplace("truncated", cut.truncated);
-        JsonArray stages;
-        for (const auto &stage : cut.stages) {
-            JsonObject s;
-            s.emplace("queuing_s", stage.queuingSec);
-            s.emplace("serving_s", stage.servingSec);
-            stages.push_back(JsonValue(std::move(s)));
-        }
-        c.emplace("stages", JsonValue(std::move(stages)));
-        cuts.push_back(JsonValue(std::move(c)));
-    }
-    JsonArray quantiles;
-    for (const auto &q : report.spanQuantiles) {
-        JsonObject s;
-        s.emplace("queue_p95_s", q.queueP95Sec);
-        s.emplace("queue_p99_s", q.queueP99Sec);
-        s.emplace("serve_p95_s", q.serveP95Sec);
-        s.emplace("serve_p99_s", q.serveP99Sec);
-        quantiles.push_back(JsonValue(std::move(s)));
-    }
-    JsonObject obj;
-    obj.emplace("queries", static_cast<double>(report.queries));
-    obj.emplace("cuts", JsonValue(std::move(cuts)));
-    obj.emplace("span_quantiles", JsonValue(std::move(quantiles)));
-    return JsonValue(std::move(obj));
-}
-
-std::optional<TailAttributionReport>
-attributionFromJson(const JsonValue &doc)
-{
-    if (!doc.isObject())
-        return std::nullopt;
-    TailAttributionReport report;
-    report.enabled = true;
-    report.queries =
-        static_cast<std::uint64_t>(doc.numberOr("queries", 0));
-    const JsonValue *cuts = doc.find("cuts");
-    const JsonValue *quantiles = doc.find("span_quantiles");
-    if (!cuts || !cuts->isArray() || !quantiles ||
-        !quantiles->isArray())
-        return std::nullopt;
-    for (const auto &entry : cuts->asArray()) {
-        if (!entry.isObject())
-            return std::nullopt;
-        TailCut cut;
-        cut.q = entry.numberOr("q", 0.0);
-        cut.tailCount = static_cast<std::uint64_t>(
-            entry.numberOr("tail_count", 0));
-        cut.thresholdSec = entry.numberOr("threshold_s", 0.0);
-        cut.meanTailSec = entry.numberOr("mean_tail_s", 0.0);
-        cut.truncated = entry.boolOr("truncated", false);
-        const JsonValue *stages = entry.find("stages");
-        if (!stages || !stages->isArray())
-            return std::nullopt;
-        for (const auto &stage : stages->asArray()) {
-            if (!stage.isObject())
-                return std::nullopt;
-            StageSpan span;
-            span.queuingSec = stage.numberOr("queuing_s", 0.0);
-            span.servingSec = stage.numberOr("serving_s", 0.0);
-            cut.stages.push_back(span);
-        }
-        report.cuts.push_back(std::move(cut));
-    }
-    for (const auto &entry : quantiles->asArray()) {
-        if (!entry.isObject())
-            return std::nullopt;
-        StageSpanQuantiles q;
-        q.queueP95Sec = entry.numberOr("queue_p95_s", 0.0);
-        q.queueP99Sec = entry.numberOr("queue_p99_s", 0.0);
-        q.serveP95Sec = entry.numberOr("serve_p95_s", 0.0);
-        q.serveP99Sec = entry.numberOr("serve_p99_s", 0.0);
-        report.spanQuantiles.push_back(q);
-    }
-    return report;
-}
-
-} // namespace
-
 JsonValue
 runResultToJson(const RunResult &result)
 {
-    JsonObject obj;
-    obj.emplace("scenario", result.scenario);
-    obj.emplace("submitted", static_cast<double>(result.submitted));
-    obj.emplace("completed", static_cast<double>(result.completed));
-    obj.emplace("avg_latency_s", result.avgLatencySec);
-    obj.emplace("p99_latency_s", result.p99LatencySec);
-    obj.emplace("max_latency_s", result.maxLatencySec);
-    obj.emplace("avg_power_w", result.avgPowerWatts);
-    obj.emplace("energy_j", result.energyJoules);
-
-    JsonArray stages;
-    for (const auto &b : result.stageBreakdown) {
-        JsonObject stage;
-        stage.emplace("avg_queuing_s", b.avgQueuingSec);
-        stage.emplace("avg_serving_s", b.avgServingSec);
-        stage.emplace("hops", static_cast<double>(b.hops));
-        stages.push_back(JsonValue(std::move(stage)));
-    }
-    obj.emplace("stage_breakdown", JsonValue(std::move(stages)));
-
-    obj.emplace("latency_series", seriesToJson(result.latencySeries));
-    obj.emplace("power_series", seriesToJson(result.powerSeries));
-    JsonArray counts;
-    for (const auto &series : result.stageInstanceCounts)
-        counts.push_back(seriesToJson(series));
-    obj.emplace("stage_instance_counts", JsonValue(std::move(counts)));
-    JsonObject freqs;
-    for (const auto &[name, series] : result.instanceFrequencyGHz)
-        freqs.emplace(name, seriesToJson(series));
-    obj.emplace("instance_frequency_ghz", JsonValue(std::move(freqs)));
-    // Only present when collected, so runs without --attribution keep
-    // dumping the exact bytes the golden-trace test pins.
-    if (result.tailAttribution.enabled) {
-        obj.emplace("tail_attribution",
-                    attributionToJson(result.tailAttribution));
-    }
-    // Same conditional-serialization contract for the audit summary.
-    if (result.audit.collected) {
-        JsonObject audit;
-        audit.emplace("cluster_rebalances",
-                      static_cast<double>(result.audit.clusterRebalances));
-        audit.emplace("flips", static_cast<double>(result.audit.flips));
-        audit.emplace("mape_freq_pct", result.audit.mapeFreqPct);
-        audit.emplace("mape_inst_pct", result.audit.mapeInstPct);
-        audit.emplace("mape_pct", result.audit.mapePct);
-        audit.emplace("plans", static_cast<double>(result.audit.plans));
-        audit.emplace("recycles",
-                      static_cast<double>(result.audit.recycles));
-        audit.emplace("scored",
-                      static_cast<double>(result.audit.scored));
-        audit.emplace("selects",
-                      static_cast<double>(result.audit.selects));
-        audit.emplace("misboosts",
-                      static_cast<double>(result.audit.misboosts));
-        audit.emplace("stale_skips",
-                      static_cast<double>(result.audit.staleSkips));
-        audit.emplace("withdraws",
-                      static_cast<double>(result.audit.withdraws));
-        obj.emplace("audit", JsonValue(std::move(audit)));
-    }
-    // ... and for the critical-path summary.
-    if (result.critpath.collected) {
-        JsonObject critpath;
-        critpath.emplace("agree", static_cast<double>(
-                                      result.critpath.agreeIntervals));
-        critpath.emplace("agreement_rate",
-                         result.critpath.agreementRate);
-        critpath.emplace("boost_intervals", static_cast<double>(
-                             result.critpath.boostIntervals));
-        critpath.emplace("mean_shortening_pct",
-                         result.critpath.meanShorteningPct);
-        critpath.emplace("misboosts", static_cast<double>(
-                                          result.critpath.misboosts));
-        critpath.emplace("queries", static_cast<double>(
-                                        result.critpath.queries));
-        critpath.emplace("scored", static_cast<double>(
-                             result.critpath.scoredIntervals));
-        JsonArray shares;
-        for (const double share : result.critpath.stageShare)
-            shares.push_back(JsonValue(share));
-        critpath.emplace("stage_share", JsonValue(std::move(shares)));
-        obj.emplace("critpath", JsonValue(std::move(critpath)));
-    }
-    // ... and for the SLO burn-rate report.
-    if (result.slo.collected)
-        obj.emplace("slo", sloReportToJson(result.slo));
-    return JsonValue(std::move(obj));
+    return encodeJson(result);
 }
 
 std::optional<RunResult>
 runResultFromJson(const JsonValue &doc)
 {
-    if (!doc.isObject())
-        return std::nullopt;
     RunResult result;
-    result.scenario = doc.stringOr("scenario", "");
-    result.submitted =
-        static_cast<std::uint64_t>(doc.numberOr("submitted", 0));
-    result.completed =
-        static_cast<std::uint64_t>(doc.numberOr("completed", 0));
-    result.avgLatencySec = doc.numberOr("avg_latency_s", 0.0);
-    result.p99LatencySec = doc.numberOr("p99_latency_s", 0.0);
-    result.maxLatencySec = doc.numberOr("max_latency_s", 0.0);
-    result.avgPowerWatts = doc.numberOr("avg_power_w", 0.0);
-    result.energyJoules = doc.numberOr("energy_j", 0.0);
-
-    const JsonValue *stages = doc.find("stage_breakdown");
-    if (!stages || !stages->isArray())
+    if (!decodeJson(doc, &result))
         return std::nullopt;
-    for (const auto &entry : stages->asArray()) {
-        if (!entry.isObject())
-            return std::nullopt;
-        StageBreakdown b;
-        b.avgQueuingSec = entry.numberOr("avg_queuing_s", 0.0);
-        b.avgServingSec = entry.numberOr("avg_serving_s", 0.0);
-        b.hops = static_cast<std::uint64_t>(entry.numberOr("hops", 0));
-        result.stageBreakdown.push_back(b);
-    }
-
-    const JsonValue *latency = doc.find("latency_series");
-    const JsonValue *power = doc.find("power_series");
-    if (!latency || !power)
-        return std::nullopt;
-    auto latencySeries = seriesFromJson(*latency);
-    auto powerSeries = seriesFromJson(*power);
-    if (!latencySeries || !powerSeries)
-        return std::nullopt;
-    result.latencySeries = std::move(*latencySeries);
-    result.powerSeries = std::move(*powerSeries);
-
-    const JsonValue *counts = doc.find("stage_instance_counts");
-    if (!counts || !counts->isArray())
-        return std::nullopt;
-    for (const auto &entry : counts->asArray()) {
-        auto series = seriesFromJson(entry);
-        if (!series)
-            return std::nullopt;
-        result.stageInstanceCounts.push_back(std::move(*series));
-    }
-
-    const JsonValue *freqs = doc.find("instance_frequency_ghz");
-    if (!freqs || !freqs->isObject())
-        return std::nullopt;
-    for (const auto &[name, entry] : freqs->asObject()) {
-        auto series = seriesFromJson(entry);
-        if (!series)
-            return std::nullopt;
-        result.instanceFrequencyGHz.emplace(name, std::move(*series));
-    }
-
-    if (const JsonValue *attribution = doc.find("tail_attribution")) {
-        auto report = attributionFromJson(*attribution);
-        if (!report)
-            return std::nullopt;
-        result.tailAttribution = std::move(*report);
-    }
-
-    if (const JsonValue *audit = doc.find("audit")) {
-        if (!audit->isObject())
-            return std::nullopt;
-        result.audit.collected = true;
-        result.audit.mapePct = audit->numberOr("mape_pct", 0.0);
-        result.audit.mapeFreqPct =
-            audit->numberOr("mape_freq_pct", 0.0);
-        result.audit.mapeInstPct =
-            audit->numberOr("mape_inst_pct", 0.0);
-        result.audit.scored = static_cast<std::uint64_t>(
-            audit->numberOr("scored", 0));
-        result.audit.flips = static_cast<std::uint64_t>(
-            audit->numberOr("flips", 0));
-        result.audit.selects = static_cast<std::uint64_t>(
-            audit->numberOr("selects", 0));
-        result.audit.recycles = static_cast<std::uint64_t>(
-            audit->numberOr("recycles", 0));
-        result.audit.withdraws = static_cast<std::uint64_t>(
-            audit->numberOr("withdraws", 0));
-        result.audit.staleSkips = static_cast<std::uint64_t>(
-            audit->numberOr("stale_skips", 0));
-        result.audit.plans = static_cast<std::uint64_t>(
-            audit->numberOr("plans", 0));
-        result.audit.misboosts = static_cast<std::uint64_t>(
-            audit->numberOr("misboosts", 0));
-        result.audit.clusterRebalances = static_cast<std::uint64_t>(
-            audit->numberOr("cluster_rebalances", 0));
-    }
-
-    if (const JsonValue *critpath = doc.find("critpath")) {
-        if (!critpath->isObject())
-            return std::nullopt;
-        result.critpath.collected = true;
-        result.critpath.queries = static_cast<std::uint64_t>(
-            critpath->numberOr("queries", 0));
-        result.critpath.scoredIntervals = static_cast<std::uint64_t>(
-            critpath->numberOr("scored", 0));
-        result.critpath.agreeIntervals = static_cast<std::uint64_t>(
-            critpath->numberOr("agree", 0));
-        result.critpath.boostIntervals = static_cast<std::uint64_t>(
-            critpath->numberOr("boost_intervals", 0));
-        result.critpath.misboosts = static_cast<std::uint64_t>(
-            critpath->numberOr("misboosts", 0));
-        result.critpath.agreementRate =
-            critpath->numberOr("agreement_rate", 0.0);
-        result.critpath.meanShorteningPct =
-            critpath->numberOr("mean_shortening_pct", 0.0);
-        if (const JsonValue *shares = critpath->find("stage_share")) {
-            if (!shares->isArray())
-                return std::nullopt;
-            for (const auto &share : shares->asArray()) {
-                if (!share.isNumber())
-                    return std::nullopt;
-                result.critpath.stageShare.push_back(share.asNumber());
-            }
-        }
-    }
-
-    if (const JsonValue *slo = doc.find("slo")) {
-        if (!slo->isObject())
-            return std::nullopt;
-        result.slo = sloReportFromJson(*slo);
-    }
     return result;
 }
 

@@ -11,6 +11,14 @@
  * codec round-trips every double exactly and SimTime as raw
  * microseconds.
  *
+ * The codec is generated from one field table per result struct
+ * (fieldsOf<RunResult> and its blocks' tables; common/field_codec.h).
+ * Adding a field means adding one table row: encode, decode and the
+ * fleet merge's counter sums all follow from it. Decoding is strict —
+ * an entry missing any field, or holding a wrong-typed, negative,
+ * fractional or out-of-range count or timestamp, loads as a miss and
+ * the point re-simulates.
+ *
  * Scenarios carrying opaque factory overrides (ablation metric/recycle
  * hooks) have no canonical form and are never cached.
  */

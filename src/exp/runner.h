@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/field_codec.h"
 #include "common/units.h"
 #include "exp/scenario.h"
 #include "obs/slo.h"
@@ -63,6 +64,12 @@ struct StageBreakdown
     }
 };
 
+template <>
+inline constexpr auto fieldsOf<StageBreakdown> = std::tuple{
+    Field{"avg_queuing_s", &StageBreakdown::avgQueuingSec},
+    Field{"avg_serving_s", &StageBreakdown::avgServingSec},
+    Field{"hops", &StageBreakdown::hops}};
+
 /**
  * Summary of the run's decision-audit log (populated when audit
  * collection is enabled; see ExperimentRunner's collectAudit).
@@ -91,6 +98,21 @@ struct RunAuditSummary
     std::uint64_t clusterRebalances = 0;
 };
 
+template <>
+inline constexpr auto fieldsOf<RunAuditSummary> = std::tuple{
+    Field{"mape_pct", &RunAuditSummary::mapePct},
+    Field{"mape_freq_pct", &RunAuditSummary::mapeFreqPct},
+    Field{"mape_inst_pct", &RunAuditSummary::mapeInstPct},
+    Field{"scored", &RunAuditSummary::scored},
+    Field{"flips", &RunAuditSummary::flips},
+    Field{"selects", &RunAuditSummary::selects},
+    Field{"recycles", &RunAuditSummary::recycles},
+    Field{"withdraws", &RunAuditSummary::withdraws},
+    Field{"stale_skips", &RunAuditSummary::staleSkips},
+    Field{"plans", &RunAuditSummary::plans},
+    Field{"misboosts", &RunAuditSummary::misboosts},
+    Field{"cluster_rebalances", &RunAuditSummary::clusterRebalances}};
+
 /**
  * Summary of the run's critical-path profile (populated when critpath
  * collection is enabled; see ExperimentRunner's collectCritPath).
@@ -116,6 +138,17 @@ struct RunCritPathSummary
     /** Mean critical-path share per stage over profiled queries. */
     std::vector<double> stageShare;
 };
+
+template <>
+inline constexpr auto fieldsOf<RunCritPathSummary> = std::tuple{
+    Field{"queries", &RunCritPathSummary::queries},
+    Field{"scored", &RunCritPathSummary::scoredIntervals},
+    Field{"agree", &RunCritPathSummary::agreeIntervals},
+    Field{"boost_intervals", &RunCritPathSummary::boostIntervals},
+    Field{"misboosts", &RunCritPathSummary::misboosts},
+    Field{"agreement_rate", &RunCritPathSummary::agreementRate},
+    Field{"mean_shortening_pct", &RunCritPathSummary::meanShorteningPct},
+    Field{"stage_share", &RunCritPathSummary::stageShare}};
 
 /**
  * Summarize a run's audit log / critical-path collector into the
@@ -167,6 +200,33 @@ struct RunResult
     /** Improvement of this run vs a baseline run (paper's "NX"). */
     static double improvement(double baseline, double value);
 };
+
+/**
+ * The result-cache codec table (exp/result_cache.h). The four observer
+ * blocks are written only when collected, so runs without them keep
+ * the bytes the golden traces pin.
+ */
+template <>
+inline constexpr auto fieldsOf<RunResult> = std::tuple{
+    Field{"scenario", &RunResult::scenario},
+    Field{"submitted", &RunResult::submitted},
+    Field{"completed", &RunResult::completed},
+    Field{"avg_latency_s", &RunResult::avgLatencySec},
+    Field{"p99_latency_s", &RunResult::p99LatencySec},
+    Field{"max_latency_s", &RunResult::maxLatencySec},
+    Field{"stage_breakdown", &RunResult::stageBreakdown},
+    Field{"avg_power_w", &RunResult::avgPowerWatts},
+    Field{"energy_j", &RunResult::energyJoules},
+    Field{"latency_series", &RunResult::latencySeries},
+    Field{"power_series", &RunResult::powerSeries},
+    Field{"stage_instance_counts", &RunResult::stageInstanceCounts},
+    Field{"instance_frequency_ghz", &RunResult::instanceFrequencyGHz},
+    OptionalField{"tail_attribution", &RunResult::tailAttribution,
+                  &TailAttributionReport::enabled},
+    OptionalField{"audit", &RunResult::audit, &RunAuditSummary::collected},
+    OptionalField{"critpath", &RunResult::critpath,
+                  &RunCritPathSummary::collected},
+    OptionalField{"slo", &RunResult::slo, &SloReport::collected}};
 
 class ExperimentRunner
 {

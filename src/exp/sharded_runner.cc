@@ -957,28 +957,18 @@ ExperimentRunner::run(const Scenario &sc,
         RunAuditSummary merged;
         merged.collected = true;
         double mapeW = 0.0, mapeFreqW = 0.0, mapeInstW = 0.0;
-        std::uint64_t scoredTotal = 0;
         for (const auto &st : stacks) {
             const RunAuditSummary sum = summarizeAudit(st->tel->audit());
-            merged.scored += sum.scored;
-            merged.flips += sum.flips;
-            merged.selects += sum.selects;
-            merged.recycles += sum.recycles;
-            merged.withdraws += sum.withdraws;
-            merged.staleSkips += sum.staleSkips;
-            merged.plans += sum.plans;
-            merged.misboosts += sum.misboosts;
-            merged.clusterRebalances += sum.clusterRebalances;
+            addCounters(&merged, sum);
             // Scored-count weighting approximates the fleet MAPE; the
             // exact per-kind weights are not exposed per record.
             const auto w = static_cast<double>(sum.scored);
             mapeW += sum.mapePct * w;
             mapeFreqW += sum.mapeFreqPct * w;
             mapeInstW += sum.mapeInstPct * w;
-            scoredTotal += sum.scored;
         }
-        if (scoredTotal > 0) {
-            const auto w = static_cast<double>(scoredTotal);
+        if (merged.scored > 0) {
+            const auto w = static_cast<double>(merged.scored);
             merged.mapePct = mapeW / w;
             merged.mapeFreqPct = mapeFreqW / w;
             merged.mapeInstPct = mapeInstW / w;
@@ -997,11 +987,7 @@ ExperimentRunner::run(const Scenario &sc,
                 continue;
             const RunCritPathSummary sum =
                 summarizeCritPath(*st->tel->critpath());
-            merged.queries += sum.queries;
-            merged.scoredIntervals += sum.scoredIntervals;
-            merged.agreeIntervals += sum.agreeIntervals;
-            merged.boostIntervals += sum.boostIntervals;
-            merged.misboosts += sum.misboosts;
+            addCounters(&merged, sum);
             shorteningW += sum.meanShorteningPct *
                 static_cast<double>(sum.boostIntervals);
             for (std::size_t s = 0;

@@ -1,8 +1,9 @@
 #include "faults/fault_plan.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "common/canonical_text.h"
 
 namespace pc {
 
@@ -40,26 +41,6 @@ FaultPlan::anyEffect() const
         telemetry.raplFailRate > 0.0 || telemetry.perfCtlFailRate > 0.0;
 }
 
-namespace {
-
-void
-appendNum(std::string *out, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g,", v);
-    *out += buf;
-}
-
-void
-appendInt(std::string *out, long long v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld,", v);
-    *out += buf;
-}
-
-} // namespace
-
 std::string
 FaultPlan::canonical() const
 {
@@ -73,16 +54,15 @@ FaultPlan::canonical() const
         appendNum(&out, rule.dropRate);
         appendNum(&out, rule.duplicateRate);
         appendNum(&out, rule.reorderRate);
-        appendInt(&out, static_cast<long long>(
-                            rule.reorderJitterMax.toUsec()));
+        appendTime(&out, rule.reorderJitterMax);
         out += "}";
     }
     out += "|crashes:";
     for (const auto &crash : crashes) {
         out += "{";
         appendInt(&out, crash.stage);
-        appendInt(&out, static_cast<long long>(crash.at.toUsec()));
-        appendInt(&out, static_cast<long long>(crash.recovery.toUsec()));
+        appendTime(&out, crash.at);
+        appendTime(&out, crash.recovery);
         out += "}";
     }
     out += "|telemetry:";

@@ -194,15 +194,8 @@ MetricsRegistry::toJson(bool includeVolatile) const
         if (includeVolatile || slot.vol == Volatility::Stable)
             histograms[name] = histogramJson(*slot.metric);
     JsonObject series;
-    for (const auto &[name, ts] : series_) {
-        JsonArray points;
-        for (const auto &p : ts.points()) {
-            points.push_back(JsonValue(JsonArray{
-                JsonValue(static_cast<double>(p.t.toUsec())),
-                JsonValue(p.value)}));
-        }
-        series[name] = JsonValue(std::move(points));
-    }
+    for (const auto &[name, ts] : series_)
+        series[name] = pointsToJson(ts);
 
     JsonObject doc;
     doc["counters"] = JsonValue(std::move(counters));

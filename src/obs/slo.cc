@@ -10,7 +10,7 @@ namespace pc {
 std::string
 SloConfig::canonical() const
 {
-    char buf[96];
+    char buf[128]; // four %.17g values: at most 122 chars
     std::snprintf(buf, sizeof(buf),
                   "slo=1,target=%.17g,obj=%.17g,fw=%.17g,sw=%.17g",
                   targetSec, objective, fastWindowSec, slowWindowSec);
@@ -109,36 +109,16 @@ SloTracker::report() const
 JsonValue
 sloReportToJson(const SloReport &report)
 {
-    JsonObject o;
-    o["fast_burn"] = JsonValue(report.fastBurn);
-    o["max_fast_burn"] = JsonValue(report.maxFastBurn);
-    o["max_slow_burn"] = JsonValue(report.maxSlowBurn);
-    o["objective"] = JsonValue(report.objective);
-    o["slow_burn"] = JsonValue(report.slowBurn);
-    o["target_s"] = JsonValue(report.targetSec);
-    o["total"] = JsonValue(static_cast<double>(report.total));
-    o["violation_s"] = JsonValue(report.violationSeconds);
-    o["violations"] =
-        JsonValue(static_cast<double>(report.violations));
-    return JsonValue(std::move(o));
+    return encodeJson(report);
 }
 
 SloReport
 sloReportFromJson(const JsonValue &doc)
 {
     SloReport report;
+    if (!decodeJson(doc, &report))
+        return SloReport{};
     report.collected = true;
-    report.fastBurn = doc.numberOr("fast_burn", 0.0);
-    report.maxFastBurn = doc.numberOr("max_fast_burn", 0.0);
-    report.maxSlowBurn = doc.numberOr("max_slow_burn", 0.0);
-    report.objective = doc.numberOr("objective", 0.99);
-    report.slowBurn = doc.numberOr("slow_burn", 0.0);
-    report.targetSec = doc.numberOr("target_s", 0.0);
-    report.total =
-        static_cast<std::uint64_t>(doc.numberOr("total", 0));
-    report.violationSeconds = doc.numberOr("violation_s", 0.0);
-    report.violations =
-        static_cast<std::uint64_t>(doc.numberOr("violations", 0));
     return report;
 }
 

@@ -32,6 +32,7 @@
 #include <deque>
 #include <string>
 
+#include "common/field_codec.h"
 #include "common/json.h"
 #include "common/time.h"
 
@@ -89,6 +90,18 @@ struct SloReport
     }
 };
 
+template <>
+inline constexpr auto fieldsOf<SloReport> = std::tuple{
+    Field{"target_s", &SloReport::targetSec},
+    Field{"objective", &SloReport::objective},
+    Field{"total", &SloReport::total},
+    Field{"violations", &SloReport::violations},
+    Field{"violation_s", &SloReport::violationSeconds},
+    Field{"fast_burn", &SloReport::fastBurn},
+    Field{"slow_burn", &SloReport::slowBurn},
+    Field{"max_fast_burn", &SloReport::maxFastBurn},
+    Field{"max_slow_burn", &SloReport::maxSlowBurn}};
+
 class SloTracker
 {
   public:
@@ -141,7 +154,10 @@ class SloTracker
 /** Conditional "slo" object of runResultToJson (alphabetical keys). */
 JsonValue sloReportToJson(const SloReport &report);
 
-/** Inverse of sloReportToJson; nullopt-free: missing keys default. */
+/**
+ * Inverse of sloReportToJson; a malformed document or one missing a
+ * key yields a default report with `collected == false`.
+ */
 SloReport sloReportFromJson(const JsonValue &doc);
 
 } // namespace pc

@@ -23,6 +23,7 @@
 #include <set>
 #include <vector>
 
+#include "common/field_codec.h"
 #include "stats/percentile.h"
 
 namespace pc {
@@ -34,6 +35,11 @@ struct StageSpan
     double servingSec = 0.0;
 };
 
+template <>
+inline constexpr auto fieldsOf<StageSpan> = std::tuple{
+    Field{"queuing_s", &StageSpan::queuingSec},
+    Field{"serving_s", &StageSpan::servingSec}};
+
 /** Per-stage streaming quantiles over all (not just tail) spans. */
 struct StageSpanQuantiles
 {
@@ -42,6 +48,13 @@ struct StageSpanQuantiles
     double serveP95Sec = 0.0;
     double serveP99Sec = 0.0;
 };
+
+template <>
+inline constexpr auto fieldsOf<StageSpanQuantiles> = std::tuple{
+    Field{"queue_p95_s", &StageSpanQuantiles::queueP95Sec},
+    Field{"queue_p99_s", &StageSpanQuantiles::queueP99Sec},
+    Field{"serve_p95_s", &StageSpanQuantiles::serveP95Sec},
+    Field{"serve_p99_s", &StageSpanQuantiles::serveP99Sec}};
 
 /** Decomposition of one tail cut (q = 0.95 or 0.99). */
 struct TailCut
@@ -59,6 +72,15 @@ struct TailCut
     std::vector<StageSpan> stages;
 };
 
+template <>
+inline constexpr auto fieldsOf<TailCut> = std::tuple{
+    Field{"q", &TailCut::q},
+    Field{"tail_count", &TailCut::tailCount},
+    Field{"threshold_s", &TailCut::thresholdSec},
+    Field{"mean_tail_s", &TailCut::meanTailSec},
+    Field{"truncated", &TailCut::truncated},
+    Field{"stages", &TailCut::stages}};
+
 struct TailAttributionReport
 {
     /** False when the run did not collect attribution (--attribution). */
@@ -67,6 +89,12 @@ struct TailAttributionReport
     std::vector<TailCut> cuts;
     std::vector<StageSpanQuantiles> spanQuantiles;
 };
+
+template <>
+inline constexpr auto fieldsOf<TailAttributionReport> = std::tuple{
+    Field{"queries", &TailAttributionReport::queries},
+    Field{"cuts", &TailAttributionReport::cuts},
+    Field{"span_quantiles", &TailAttributionReport::spanQuantiles}};
 
 class TailAttributionCollector
 {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/field_codec.h"
 #include "common/logging.h"
 
 namespace pc {
@@ -83,6 +84,46 @@ TimeSeries::writeCsv(std::ostream &out) const
 {
     for (const auto &p : points_)
         out << p.t.toSec() << ',' << p.value << '\n';
+}
+
+JsonValue
+pointsToJson(const TimeSeries &series)
+{
+    JsonArray points;
+    points.reserve(series.size());
+    for (const auto &p : series.points())
+        points.push_back(
+            JsonValue(JsonArray{encodeJson(p.t), JsonValue(p.value)}));
+    return JsonValue(std::move(points));
+}
+
+JsonValue
+encodeJson(const TimeSeries &series)
+{
+    return JsonValue(JsonObject{{"name", JsonValue(series.name())},
+                                {"points", pointsToJson(series)}});
+}
+
+bool
+decodeJson(const JsonValue &doc, TimeSeries *out)
+{
+    const JsonValue *name = doc.find("name");
+    const JsonValue *points = doc.find("points");
+    if (!name || !name->isString() || !points || !points->isArray())
+        return false;
+    TimeSeries series(name->asString());
+    for (const auto &p : points->asArray()) {
+        SimTime t;
+        double value = 0.0;
+        if (!p.isArray() || p.asArray().size() != 2 ||
+            !decodeJson(p.asArray()[0], &t) ||
+            !decodeJson(p.asArray()[1], &value) ||
+            (!series.empty() && t < series.points().back().t))
+            return false;
+        series.append(t, value);
+    }
+    *out = std::move(series);
+    return true;
 }
 
 } // namespace pc

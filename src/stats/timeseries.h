@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/time.h"
 
 namespace pc {
@@ -58,6 +59,15 @@ class TimeSeries
     std::string name_;
     std::vector<Point> points_;
 };
+
+/** The `[[t_us, v], …]` point array (metrics dumps use it bare). */
+JsonValue pointsToJson(const TimeSeries &series);
+
+/** Result-codec leaf (common/field_codec.h): `{"name", "points"}`. */
+JsonValue encodeJson(const TimeSeries &series);
+
+/** Inverse of encodeJson; false on bad times or out-of-order points. */
+bool decodeJson(const JsonValue &doc, TimeSeries *out);
 
 } // namespace pc
 
