@@ -64,16 +64,13 @@ CommandCenter::setTelemetry(Telemetry *telemetry)
     healthBoostChurn_ = nullptr;
     healthWithdrawChurn_ = nullptr;
     healthFaultRate_ = nullptr;
-    healthRpcRetryRate_ = nullptr;
     boostCounter_ = nullptr;
     launchCounter_ = nullptr;
     withdrawCounter_ = nullptr;
-    retryCounter_ = nullptr;
     faultCounters_.clear();
     prevBoostTotal_ = 0.0;
     prevWithdrawTotal_ = 0.0;
     prevFaultTotal_ = 0.0;
-    prevRetryTotal_ = 0.0;
 
     if (!telemetry_) {
         intervalsCounter_ = nullptr;
@@ -120,16 +117,14 @@ CommandCenter::setTelemetry(Telemetry *telemetry)
         healthBoostChurn_ = &metrics.gauge("health.boost_churn");
         healthWithdrawChurn_ = &metrics.gauge("health.withdraw_churn");
         healthFaultRate_ = &metrics.gauge("health.fault_rate");
-        healthRpcRetryRate_ = &metrics.gauge("health.rpc_retry_rate");
-        // Find-or-create gives the same slots the decision trace, the
-        // node agents and the fault injector increment; counters that
-        // stay unwired this run simply read 0.
+        // Find-or-create gives the same slots the decision trace and
+        // the fault injector increment; counters that stay unwired
+        // this run simply read 0.
         boostCounter_ = &metrics.counter("decision.freq-boost_total");
         launchCounter_ =
             &metrics.counter("decision.instance-launch_total");
         withdrawCounter_ =
             &metrics.counter("decision.instance-withdraw_total");
-        retryCounter_ = &metrics.counter("rpc.client.retries_total");
         static const char *const kFaultCounters[] = {
             "faults.bus.dropped_total",    "faults.bus.duplicated_total",
             "faults.bus.delayed_total",    "faults.wire.truncated_total",
@@ -308,10 +303,6 @@ CommandCenter::tick()
                 faults += c->value();
             healthFaultRate_->set(faults - prevFaultTotal_);
             prevFaultTotal_ = faults;
-
-            const double retries = retryCounter_->value();
-            healthRpcRetryRate_->set(retries - prevRetryTotal_);
-            prevRetryTotal_ = retries;
         }
 
         // Close the critical-path scoring window first: the collector

@@ -154,16 +154,13 @@ class CommandCenter
     Gauge *healthBoostChurn_ = nullptr;
     Gauge *healthWithdrawChurn_ = nullptr;
     Gauge *healthFaultRate_ = nullptr;
-    Gauge *healthRpcRetryRate_ = nullptr;
     Counter *boostCounter_ = nullptr;
     Counter *launchCounter_ = nullptr;
     Counter *withdrawCounter_ = nullptr;
-    Counter *retryCounter_ = nullptr;
     std::vector<Counter *> faultCounters_;
     double prevBoostTotal_ = 0.0;
     double prevWithdrawTotal_ = 0.0;
     double prevFaultTotal_ = 0.0;
-    double prevRetryTotal_ = 0.0;
 };
 
 } // namespace pc

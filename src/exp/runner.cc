@@ -97,7 +97,6 @@ summarizeAudit(const AuditLog &audit)
           case AuditDecisionKind::ClusterRebalance:
             ++sum.clusterRebalances;
             break;
-          case AuditDecisionKind::RpcRetry:
           case AuditDecisionKind::ObsAlert:
           case AuditDecisionKind::Count:
             break;

@@ -137,7 +137,6 @@ CritPathCollector::observeQuery(SimTime, const Query &query,
         p.serveSec += seg.serveSec;
         p.wastedSec += seg.wastedSec;
         p.redispatchSec += seg.redispatchSec;
-        p.retrySec += seg.retrySec;
         if (seg.boosted)
             ++p.boostedHops;
         if (seg.servedMhz > 0) {
@@ -286,7 +285,6 @@ CritPathCollector::toJson(const std::string &scenario) const
         o["paths"] = count(p.share.count());
         o["queue_s"] = JsonValue(p.queueSec);
         o["redispatch_s"] = JsonValue(p.redispatchSec);
-        o["retry_s"] = JsonValue(p.retrySec);
         o["serve_s"] = JsonValue(p.serveSec);
         o["share_mean"] = JsonValue(
             p.share.count()

@@ -8,7 +8,7 @@
  * module rebuilds each query's execution DAG from those records,
  * extracts the critical path (the slowest shard through every
  * fan-out/fan-in), and segments the path into queue, serve,
- * re-dispatch, retry and wasted time per stage. Two products fall out:
+ * re-dispatch and wasted time per stage. Two products fall out:
  *
  *  1. Deterministic per-run profiles — per-stage critical-path share
  *     (mean/p50/p95/p99 across queries), segment totals, and the top-K
@@ -61,10 +61,6 @@ struct CritPathBreakdown
         double wastedSec = 0.0;
         /** Wait between the crash and the adopting peer's service. */
         double redispatchSec = 0.0;
-        /** RPC retry delay (report-path retries never extend a
-         *  query's end-to-end time in this simulator, so 0 today;
-         *  kept so the schema covers the full segment taxonomy). */
-        double retrySec = 0.0;
         /** Shard fan-out width of the critical hop (0 = not sharded). */
         int shardCount = 0;
         /** The critical hop ran on a boosted instance. */
@@ -74,8 +70,7 @@ struct CritPathBreakdown
 
         double totalSec() const
         {
-            return queueSec + serveSec + wastedSec + redispatchSec +
-                retrySec;
+            return queueSec + serveSec + wastedSec + redispatchSec;
         }
     };
 
@@ -161,7 +156,6 @@ class CritPathCollector
         double serveSec = 0.0;
         double wastedSec = 0.0;
         double redispatchSec = 0.0;
-        double retrySec = 0.0;
         std::uint64_t dominant = 0;
         std::uint64_t boostedHops = 0;
         double mhzSum = 0.0;

@@ -1,7 +1,5 @@
 #include "rpc/wire.h"
 
-#include <cstring>
-
 namespace pc {
 
 void
@@ -19,22 +17,6 @@ WireWriter::putSigned(std::int64_t value)
 {
     const auto u = static_cast<std::uint64_t>(value);
     putVarint((u << 1) ^ static_cast<std::uint64_t>(value >> 63));
-}
-
-void
-WireWriter::putDouble(double value)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    for (int i = 0; i < 8; ++i)
-        buf_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-}
-
-void
-WireWriter::putString(const std::string &value)
-{
-    putVarint(value.size());
-    buf_.insert(buf_.end(), value.begin(), value.end());
 }
 
 bool
@@ -64,37 +46,6 @@ WireReader::getSigned(std::int64_t *out)
     if (!getVarint(&u))
         return false;
     *out = static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
-    return true;
-}
-
-bool
-WireReader::getDouble(double *out)
-{
-    if (!ok_ || pos_ + 8 > buf_.size()) {
-        ok_ = false;
-        return false;
-    }
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i)
-        bits |= static_cast<std::uint64_t>(buf_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    std::memcpy(out, &bits, sizeof(*out));
-    return true;
-}
-
-bool
-WireReader::getString(std::string *out)
-{
-    std::uint64_t len = 0;
-    if (!getVarint(&len))
-        return false;
-    if (pos_ + len > buf_.size()) {
-        ok_ = false;
-        return false;
-    }
-    out->assign(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-    pos_ += len;
     return true;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Compact binary wire format (varint/zigzag/fixed64), Thrift-compact
+ * Compact binary wire format (LEB128 varint/zigzag), Thrift-compact
  * style. Used to serialize the extended query structure when latency
  * reports cross address spaces (distributed stages, §8.5): unlike the
  * in-process shared-pointer path, nothing but bytes travels.
@@ -9,8 +9,9 @@
 #ifndef PC_RPC_WIRE_H
 #define PC_RPC_WIRE_H
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace pc {
@@ -23,12 +24,6 @@ class WireWriter
 
     /** ZigZag-mapped signed varint. */
     void putSigned(std::int64_t value);
-
-    /** Little-endian IEEE-754 double, 8 bytes. */
-    void putDouble(double value);
-
-    /** Length-prefixed UTF-8 bytes. */
-    void putString(const std::string &value);
 
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
     std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -52,8 +47,6 @@ class WireReader
 
     bool getVarint(std::uint64_t *out);
     bool getSigned(std::int64_t *out);
-    bool getDouble(double *out);
-    bool getString(std::string *out);
 
     bool ok() const { return ok_; }
     bool exhausted() const { return pos_ == buf_.size(); }

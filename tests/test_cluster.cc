@@ -517,12 +517,12 @@ TEST(FleetArtifacts, ArtifactBytesArePinned)
                       static_cast<unsigned long long>(fnv1a64(buf.str())));
         return std::string(hex);
     };
-    EXPECT_EQ(fingerprint(telemetry.metricsOut), "0x0430cd7f234b292cull")
+    EXPECT_EQ(fingerprint(telemetry.metricsOut), "0xc8be1bf93783fea2ull")
         << "metrics artifact bytes diverged";
-    EXPECT_EQ(fingerprint(telemetry.critpathOut), "0xafea6b735a35ef62ull")
+    EXPECT_EQ(fingerprint(telemetry.critpathOut), "0x15610353756c0556ull")
         << "critpath artifact bytes diverged";
     EXPECT_EQ(fingerprint(telemetry.timeseriesOut),
-              "0xf7bdc68ee1bd6dc2ull")
+              "0x91cb83886285c76eull")
         << "timeseries artifact bytes diverged";
 }
 

@@ -235,6 +235,67 @@ TEST(Integration, ConservePolicySavesPowerMeetingQoS)
     EXPECT_LT(conserve.avgLatencySec, 0.25);
 }
 
+/** Power saving of each policy relative to the first (baseline). */
+std::vector<double>
+powerSavings(const ExperimentRunner &runner,
+             const std::vector<Scenario> &scenarios)
+{
+    std::vector<double> savings;
+    double baselineWatts = 0.0;
+    for (const Scenario &sc : scenarios) {
+        const RunResult r = runner.run(sc);
+        if (savings.empty())
+            baselineWatts = r.avgPowerWatts;
+        savings.push_back(1.0 - r.avgPowerWatts / baselineWatts);
+    }
+    return savings;
+}
+
+const std::vector<PolicyKind> kQosPolicies = {
+    PolicyKind::StageAgnostic, PolicyKind::Pegasus,
+    PolicyKind::PowerChiefConserve};
+
+TEST(Integration, Fig13SiriusPowerSavingOrdering)
+{
+    // bench/fig13_sirius_power's scenario: Table 3 layout, 3 s QoS,
+    // 10 s adjust interval, diurnal load. EXPERIMENTS.md: PowerChief
+    // 35.1%, Pegasus 0.4%, baseline 0%.
+    std::vector<Scenario> scenarios;
+    for (const PolicyKind policy : kQosPolicies) {
+        Scenario sc = Scenario::conservation(
+            WorkloadModel::sirius(), {4, 2, 5}, 3.0, SimTime::sec(10),
+            policy);
+        sc.load = LoadProfile::diurnal(0.3, 1.2, SimTime::sec(450));
+        scenarios.push_back(sc);
+    }
+    const auto savings =
+        powerSavings(ExperimentRunner(true), scenarios);
+    EXPECT_GT(savings[2], savings[1]);
+    EXPECT_GE(savings[1], savings[0]);
+    EXPECT_EQ(savings[0], 0.0);
+}
+
+TEST(Integration, Fig14WebSearchPowerSavingOrdering)
+{
+    // bench/fig14_websearch_power's scenario: 10 leaves + aggregator,
+    // 250 ms QoS, 2 s adjust interval, diurnal load. EXPERIMENTS.md:
+    // PowerChief 67.6%, Pegasus 47.8%, baseline 0%.
+    std::vector<Scenario> scenarios;
+    for (const PolicyKind policy : kQosPolicies) {
+        Scenario sc = Scenario::conservation(
+            WorkloadModel::webSearch(), {10, 1}, 0.250,
+            SimTime::sec(2), policy);
+        sc.load = LoadProfile::diurnal(10.0, 85.0, SimTime::sec(450));
+        sc.duration = SimTime::sec(900);
+        scenarios.push_back(sc);
+    }
+    const auto savings =
+        powerSavings(ExperimentRunner(true, SimTime::sec(2)), scenarios);
+    EXPECT_GT(savings[2], savings[1]);
+    EXPECT_GE(savings[1], savings[0]);
+    EXPECT_EQ(savings[0], 0.0);
+}
+
 TEST(Integration, WithdrawnInstancesReleaseCores)
 {
     IntegrationRig rig(PolicyKind::PowerChief, 0.2, 17);

@@ -62,47 +62,33 @@ TEST(Wire, SmallNegativesAreCompact)
     EXPECT_EQ(w.bytes().size(), 1u);
 }
 
-TEST(Wire, DoubleRoundTrip)
-{
-    WireWriter w;
-    const std::vector<double> values = {0.0, -0.0, 1.5, -3.14159,
-                                        1e300, 5e-324};
-    for (auto v : values)
-        w.putDouble(v);
-    WireReader r(w.bytes());
-    for (auto v : values) {
-        double got = 0;
-        ASSERT_TRUE(r.getDouble(&got));
-        EXPECT_EQ(got, v);
-    }
-}
-
-TEST(Wire, StringRoundTrip)
-{
-    WireWriter w;
-    w.putString("hello");
-    w.putString("");
-    w.putString(std::string("\x00\xff", 2));
-    WireReader r(w.bytes());
-    std::string s;
-    ASSERT_TRUE(r.getString(&s));
-    EXPECT_EQ(s, "hello");
-    ASSERT_TRUE(r.getString(&s));
-    EXPECT_EQ(s, "");
-    ASSERT_TRUE(r.getString(&s));
-    EXPECT_EQ(s.size(), 2u);
-}
-
 TEST(Wire, TruncatedInputFailsSafely)
 {
     WireWriter w;
-    w.putDouble(1.0);
+    w.putSigned(-1000000); // three bytes
     auto bytes = w.take();
+    ASSERT_EQ(bytes.size(), 3u);
     bytes.pop_back();
     WireReader r(bytes);
-    double d = 0;
-    EXPECT_FALSE(r.getDouble(&d));
+    std::int64_t v = 7;
+    EXPECT_FALSE(r.getSigned(&v));
+    EXPECT_EQ(v, 7); // output untouched on failure
     EXPECT_FALSE(r.ok());
+}
+
+TEST(Wire, FailureLatchesWithBytesLeft)
+{
+    // Ten continuation bytes overflow 64 bits; the trailing byte would
+    // decode on its own, but the reader stays failed.
+    std::vector<std::uint8_t> bytes(10, 0xff);
+    bytes.push_back(0x02);
+    WireReader r(bytes);
+    std::int64_t v = 7;
+    EXPECT_FALSE(r.getSigned(&v));
+    EXPECT_FALSE(r.getSigned(&v));
+    EXPECT_EQ(v, 7);
+    EXPECT_FALSE(r.ok());
+    EXPECT_FALSE(r.exhausted());
 }
 
 TEST(Wire, DanglingVarintContinuationFails)
@@ -112,15 +98,6 @@ TEST(Wire, DanglingVarintContinuationFails)
     std::uint64_t v = 0;
     EXPECT_FALSE(r.getVarint(&v));
     EXPECT_FALSE(r.ok());
-}
-
-TEST(Wire, OversizedStringLengthFails)
-{
-    WireWriter w;
-    w.putVarint(1000); // claims 1000 bytes, provides none
-    WireReader r(w.bytes());
-    std::string s;
-    EXPECT_FALSE(r.getString(&s));
 }
 
 // ---------------------------------------------------------- stats codec

@@ -37,10 +37,18 @@
 # the baseline, set PC_BENCH_TOLERANCE higher or to a huge value to
 # make the leg informational again.
 #
+# Before any of that, tools/test_only_headers.py fails the gate if a
+# src/ header is reached only from tests/.
+#
 # Usage: tools/check.sh [jobs]   (defaults to all hardware threads)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs="${1:-$(nproc)}"
+
+echo "=== test-only headers ==="
+# Code only the tests reach is dead weight: fail before any build.
+python3 tools/test_only_headers.py --self-test
+python3 tools/test_only_headers.py
 
 run_variant() {
     local name="$1" type="$2" flags="$3"

@@ -255,7 +255,6 @@ struct AuditSummary
     std::size_t selects = 0;
     std::size_t recycles = 0;
     std::size_t withdraws = 0;
-    std::size_t rpcRetries = 0;
     std::size_t staleSkips = 0;
     std::size_t fastcapPlans = 0;
     std::size_t cuttlesysPlans = 0;
@@ -336,15 +335,6 @@ validateAuditDoc(const JsonValue &root, const std::string &path)
             requireNumber(rec, "target", i);
             requireNumber(rec, "utilization", i);
             requireNumber(rec, "utilization_threshold", i);
-        } else if (kind.asString() == "rpc_retry") {
-            ++counts.rpcRetries;
-            requireNumber(rec, "call_id", i);
-            requireNumber(rec, "backoff_s", i);
-            // A retry record exists only for retransmissions, which
-            // start at attempt 2.
-            if (requireNumber(rec, "attempt", i) < 2.0)
-                bad("audit record " + std::to_string(i) +
-                    " rpc_retry \"attempt\" below 2");
         } else if (kind.asString() == "stale_skip") {
             ++counts.staleSkips;
             requireNumber(rec, "target", i);
@@ -473,7 +463,6 @@ validateAuditDoc(const JsonValue &root, const std::string &path)
     check("select", counts.selects);
     check("recycle", counts.recycles);
     check("withdraw", counts.withdraws);
-    check("rpc_retry", counts.rpcRetries);
     check("stale_skip", counts.staleSkips);
     check("fastcap_plan", counts.fastcapPlans);
     check("cuttlesys_plan", counts.cuttlesysPlans);
@@ -499,7 +488,6 @@ validateAudit(const std::string &path)
             total.selects += one.selects;
             total.recycles += one.recycles;
             total.withdraws += one.withdraws;
-            total.rpcRetries += one.rpcRetries;
             total.staleSkips += one.staleSkips;
             total.fastcapPlans += one.fastcapPlans;
             total.cuttlesysPlans += one.cuttlesysPlans;
@@ -574,7 +562,6 @@ validateMetricsDoc(const JsonValue &root, const std::string &path)
     const JsonValue *counters = root.find("counters");
     for (const auto &[name, value] : counters->asObject()) {
         if (name.rfind("faults.", 0) != 0 &&
-            name.rfind("rpc.client.", 0) != 0 &&
             name.rfind("control.", 0) != 0)
             continue;
         if (!value.isNumber() || value.asNumber() < 0.0)
@@ -863,8 +850,7 @@ validateCritPathDoc(const JsonValue &root, const std::string &path)
         requireNumber(st, "stage", i);
         for (const char *key : {"boosted_hops", "dominant",
                                 "mean_served_mhz", "paths", "queue_s",
-                                "redispatch_s", "retry_s", "serve_s",
-                                "wasted_s"}) {
+                                "redispatch_s", "serve_s", "wasted_s"}) {
             if (requireNumber(st, key, i) < 0.0)
                 bad("critpath stage " + std::to_string(i) + " \"" +
                     key + "\" negative");
@@ -1071,12 +1057,12 @@ main(int argc, char **argv)
             audit.records == 0)
             bad("'" + auditPath + "' contains no decision records");
         std::printf("%s: ok (%zu records: %zu select [%zu scored], "
-                    "%zu recycle, %zu withdraw, %zu rpc_retry, "
-                    "%zu stale_skip, %zu plan, "
+                    "%zu recycle, %zu withdraw, %zu stale_skip, "
+                    "%zu plan, "
                     "%zu cluster_rebalance)\n",
                     auditPath.c_str(), audit.records, audit.selects,
                     audit.scored, audit.recycles, audit.withdraws,
-                    audit.rpcRetries, audit.staleSkips,
+                    audit.staleSkips,
                     audit.fastcapPlans + audit.cuttlesysPlans,
                     audit.clusterRebalances);
     }
